@@ -150,13 +150,15 @@ def luxemburg_norm(f: StepFunction, phi: OrliczFunction) -> float:
         hi = lam
         lo = lam / 2.0
         for _ in range(MAX_BISECT_ITER):
+            if lo == 0.0:
+                return hi  # halving underflowed: hi is the least positive double
             if modular(f, phi, lo) > 1.0:
                 break
             hi, lo = lo, lo / 2.0
-        else:  # pragma: no cover
-            raise OrliczError(
-                "modular never exceeds 1; Phi appears degenerate on this input"
-            )
+        else:  # the norm is below 2^-MAX_BISECT_ITER * ||f||_inf
+            los, his = _exponent_bracket(
+                lambda rows, lam: np.array([modular(f, phi, lam[0]) > 1.0]), np.array([hi]))
+            lo, hi = float(los[0]), float(his[0])
     for _ in range(MAX_BISECT_ITER):
         if hi - lo <= BISECT_RTOL * hi:
             break
@@ -166,6 +168,23 @@ def luxemburg_norm(f: StepFunction, phi: OrliczFunction) -> float:
         else:
             lo = mid
     return hi
+
+
+def _exponent_bracket(over, hi: np.ndarray):
+    """Brackets [2^a, 2^(a+1)] for norms below 2^-MAX_BISECT_ITER * hi, by
+    bisection on the binary exponent. `over(rows, lam)` tells, for the given
+    rows, whether the modular exceeds 1 at lam; it must not at `hi`."""
+    b = np.frexp(hi)[1]  # 2^b > hi
+    a = np.full_like(b, -1074)  # 2^-1074 is the least positive double
+    with np.errstate(all="ignore"):  # f/lam may overflow to inf: modular > 1
+        if not np.all(over(np.arange(a.size), np.ldexp(1.0, a))):
+            raise OrliczError("modular never exceeds 1; Phi appears degenerate on this input")
+        while (rows := np.flatnonzero(b - a > 1)).size:
+            mid = (a[rows] + b[rows]) // 2
+            up = over(rows, np.ldexp(1.0, mid))
+            a[rows[up]] = mid[up]
+            b[rows[~up]] = mid[~up]
+    return np.ldexp(1.0, a), np.ldexp(1.0, b)
 
 
 def luxemburg_norm_rows(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunction) -> np.ndarray:
@@ -197,14 +216,22 @@ def luxemburg_norm_rows(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunc
         hi[over] *= 2.0
         m[over] = phi(A[over] / hi[over, None]) @ lengths
     lo = hi / 2.0
-    m = mod(lo)
-    for _ in range(MAX_BISECT_ITER):
-        under = m <= 1.0
-        if not np.any(under):
-            break
-        hi[under] = lo[under]
-        lo[under] /= 2.0
-        m[under] = phi(A[under] / lo[under, None]) @ lengths
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = mod(lo)
+        for _ in range(MAX_BISECT_ITER):
+            under = (m <= 1.0) & (lo > 0.0)
+            if not np.any(under):
+                break
+            hi[under] = lo[under]
+            lo[under] /= 2.0
+            m[under] = phi(A[under] / lo[under, None]) @ lengths
+        else:  # norms below 2^-MAX_BISECT_ITER * sup
+            deep = np.flatnonzero((m <= 1.0) & (lo > 0.0))
+            lo[deep], hi[deep] = _exponent_bracket(
+                lambda rows, lam: phi(A[deep[rows]] / lam[:, None]) @ lengths > 1.0,
+                lo[deep],
+            )
+    lo = np.where(lo > 0.0, lo, hi)  # halving underflowed: hi is the least positive double
     for _ in range(MAX_BISECT_ITER):
         if np.all(hi - lo <= BISECT_RTOL * hi):
             break

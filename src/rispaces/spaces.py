@@ -158,7 +158,8 @@ def _closed_form_fundamental(E: SpaceSpec, t: np.ndarray):
     if E.kind == "lorentz":
         return E.weight(t)
     if E.kind == "marcinkiewicz":
-        # s/phi(s) is non-decreasing for concave phi, so the sup sits at s=t
+        # s/phi(s) is non-decreasing for concave phi, so the sup sits at s=t;
+        # the generic sup raises WeightError for a non-concave phi
         return t / E.weight(t)
     if E.kind == "lp":
         return t ** (1.0 / E.p)
@@ -172,8 +173,6 @@ def _closed_form_fundamental(E: SpaceSpec, t: np.ndarray):
 @lru_cache(maxsize=None)
 def _closed_form_checked(E: SpaceSpec) -> bool:
     """Cross-check the closed form against the generic norm path once."""
-    if E.kind == "marcinkiewicz" and not _weights.validate_weight(E.weight).valid:
-        return False  # s/phi(s) monotone needs concavity; use the generic sup
     t = np.geomspace(1e-4, 1.0, 10)
     cf = _closed_form_fundamental(E, t)
     if cf is None:
@@ -206,8 +205,9 @@ def envelope_weight(E: SpaceSpec) -> _weights.ConcaveWeight:
     """Weight t / ||I_(0,t]||_E; M(weight) is dominated by E everywhere and
     agrees with it on 0/1-valued functions.
 
-    Concavity of this weight is not guaranteed for arbitrary spaces, so it is
-    only diagnosed (warnings), never enforced.
+    Concavity of this weight is not guaranteed for arbitrary spaces. It is
+    diagnosed once when the weight is built, and a Marcinkiewicz norm with a
+    weight that fails the diagnosis raises `WeightError`.
     """
 
     def fn(t):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,10 +36,6 @@ __all__ = [
 ]
 
 CONCAVITY_TOL = 1e-9
-GUARD_GRID_SIZE = 1024
-SEGMENT_TOL = 1e-10
-# above this many pieces, screen segments instead of refining each one
-_SEGMENT_SCREEN_LIMIT = 4096
 
 
 class WeightError(ValueError):
@@ -63,6 +60,11 @@ class ConcaveWeight:
 
     def __call__(self, t) -> np.ndarray:
         return self.fn(np.asarray(t, dtype=np.float64))
+
+    @cached_property
+    def diagnostics(self) -> "WeightDiagnostics":
+        """Monotonicity/concavity diagnostics, computed once per weight."""
+        return _diagnose(self.fn)
 
     def __repr__(self) -> str:
         return f"ConcaveWeight({self.descriptor})"
@@ -99,15 +101,11 @@ def _diagnose(fn, tol: float = CONCAVITY_TOL) -> WeightDiagnostics:
 
 
 def validate_weight(w: ConcaveWeight) -> WeightDiagnostics:
-    """Monotonicity/concavity diagnostics; phi(1) != 1 is a warning, not an error."""
-    return _diagnose(w.fn)
+    """Monotonicity/concavity diagnostics; phi(1) != 1 is a warning, not an error.
 
-
-def _checked(fn, descriptor: str, strict: bool) -> ConcaveWeight:
-    diag = _diagnose(fn)
-    if strict and not diag.valid:
-        raise WeightError(f"{descriptor}: " + "; ".join(diag.errors))
-    return ConcaveWeight(fn, descriptor)
+    The result is cached on the weight, so each weight is diagnosed once.
+    """
+    return w.diagnostics
 
 
 def power_weight(alpha: float) -> ConcaveWeight:
@@ -135,13 +133,12 @@ def log_g() -> ConcaveWeight:
 def log_g_printed() -> ConcaveWeight:
     """phi(t) = t / sqrt(log(e/t)): the other reading of the G weight.
 
-    Fails the concavity check (it is convex near 0) and makes the indicator
-    norms of M(phi) blow up; kept for side-by-side comparison in reports.
+    Fails the concavity check (it is convex near 0), so a Marcinkiewicz norm
+    with it raises `WeightError`; t/phi(t) blows up as t -> 0. Kept for
+    side-by-side comparison in reports.
     """
-    return _checked(
-        lambda t: _safe_log_form(t, lambda s: s / np.sqrt(1.0 - np.log(s))),
-        "logG-printed",
-        strict=False,
+    return ConcaveWeight(
+        lambda t: _safe_log_form(t, lambda s: s / np.sqrt(1.0 - np.log(s))), "logG-printed"
     )
 
 
@@ -162,8 +159,12 @@ def log_psi() -> ConcaveWeight:
 def custom_weight(
     fn: Callable[[np.ndarray], np.ndarray], name: str = "custom", strict: bool = True
 ) -> ConcaveWeight:
-    """Wrap an arbitrary evaluator; strict=True rejects non-concave shapes."""
-    return _checked(fn, name, strict)
+    """Wrap an arbitrary evaluator and diagnose it; strict=True rejects
+    non-concave shapes."""
+    w = ConcaveWeight(fn, name)
+    if not w.diagnostics.valid and strict:
+        raise WeightError(f"{name}: " + "; ".join(w.diagnostics.errors))
+    return w
 
 
 def parse_weight(descriptor: str) -> ConcaveWeight:
@@ -192,67 +193,33 @@ def lorentz_norm(f: StepFunction, w: ConcaveWeight) -> float:
     return stieltjes(rearrange(f), w)
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def marcinkiewicz_sup(f: StepFunction, w: ConcaveWeight):
     """(norm, argmax t) for the Marcinkiewicz norm sup_t F(t)/phi(t).
 
-    F is the partial integral of the rearrangement, piecewise linear and
-    concave, so F/phi has at most one interior critical point per breakpoint
-    segment. Candidates: all breakpoints, per-segment golden-section maxima,
-    and a log-spaced guard grid.
+    F, the partial integral of the rearrangement, is concave and piecewise
+    linear with F(0) = 0, so on each breakpoint segment F(t) = alpha + v*t
+    with alpha >= 0. For concave phi and c > 0 the set {F/phi < c} =
+    {c*phi(t) - v*t - alpha > 0} is an interval, so F/phi is quasi-convex on
+    every segment and attains its maximum at a segment end. Near 0 the
+    quotient is v*t/phi(t), which does not decrease, so the sup is the
+    largest F(b)/phi(b) over the breakpoints b > 0. Weights that fail
+    `validate_weight` are rejected: the argument needs concavity.
     """
+    if not validate_weight(w).valid:
+        errors = "; ".join(w.diagnostics.errors)
+        raise WeightError(f"{w.descriptor}: Marcinkiewicz norm needs a concave weight; {errors}")
     r = rearrange(f)
     if r.is_zero():
         return 0.0, 1.0
-    b = r.breakpoints
-    F_nodes = np.concatenate(([0.0], np.cumsum(r.values * np.diff(b))))
-
-    def G(t):
-        t = np.asarray(t, dtype=np.float64)
-        phi = w(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.interp(t, b, F_nodes) / phi
-        return np.where(phi > 0.0, out, -np.inf)
-
-    cand_t = [b[1:]]
-    cand_t.append(np.geomspace(1e-12, 1.0, GUARD_GRID_SIZE))
-
-    seg_lo = np.maximum(b[:-1], 1e-15)
-    seg_hi = b[1:]
-    if len(seg_lo) > _SEGMENT_SCREEN_LIMIT:
-        # screen: keep segments whose interior samples beat their endpoints
-        probe = np.maximum(
-            G(seg_lo + 0.25 * (seg_hi - seg_lo)),
-            np.maximum(G(0.5 * (seg_lo + seg_hi)), G(seg_lo + 0.75 * (seg_hi - seg_lo))),
-        )
-        edge = np.maximum(G(seg_lo), G(seg_hi))
-        order = np.argsort(-(probe - edge))
-        keep = order[: _SEGMENT_SCREEN_LIMIT]
-        seg_lo, seg_hi = seg_lo[keep], seg_hi[keep]
-    iters = int(math.ceil(math.log(SEGMENT_TOL) / math.log(_INV_GOLDEN))) + 1
-    a, bb = seg_lo.copy(), seg_hi.copy()
-    x1 = bb - _INV_GOLDEN * (bb - a)
-    x2 = a + _INV_GOLDEN * (bb - a)
-    f1, f2 = G(x1), G(x2)
-    for _ in range(iters):
-        right = f1 < f2
-        a = np.where(right, x1, a)
-        bb = np.where(right, bb, x2)
-        x1 = bb - _INV_GOLDEN * (bb - a)
-        x2 = a + _INV_GOLDEN * (bb - a)
-        f1, f2 = G(x1), G(x2)
-        if np.max(bb - a) < SEGMENT_TOL:
-            break
-    cand_t.append((a + bb) / 2.0)
-
-    t_all = np.concatenate(cand_t)
-    g_all = G(t_all)
-    i = int(np.argmax(g_all))
-    if not np.isfinite(g_all[i]):
+    b = r.breakpoints[1:]
+    F = np.cumsum(r.values * r.lengths)
+    phi = w(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(phi > 0.0, F / phi, -np.inf)
+    i = int(np.argmax(q))
+    if not np.isfinite(q[i]):
         raise WeightError(f"{w.descriptor}: weight vanishes on (0, 1]")
-    return float(g_all[i]), float(t_all[i])
+    return float(q[i]), float(b[i])
 
 
 def marcinkiewicz_norm(f: StepFunction, w: ConcaveWeight) -> float:

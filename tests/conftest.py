@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from rispaces.stepfn import StepFunction
+
+# The tests must not depend on examples saved by earlier runs, so there is
+# no example database; a case that has to be replayed is pinned with @example.
+settings.register_profile("tier1", database=None)
+settings.load_profile("tier1")
 
 
 @st.composite

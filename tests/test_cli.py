@@ -49,6 +49,12 @@ class TestNorm:
     def test_bad_space_is_config_error(self, const1):
         assert cli.main(["norm", "--space", "Zp", "--input", const1]) == cli.EXIT_CONFIG_ERROR
 
+    def test_non_concave_marcinkiewicz_weight_is_config_error(self, const1, capsys):
+        # t / phi_L(t) for the Lorentz weight t*sqrt(log(e/t)) is convex near 1
+        args = ["norm", "--space", "marcinkiewicz:envelope:lorentz:logG", "--input", const1]
+        assert cli.main(args) == cli.EXIT_CONFIG_ERROR
+        assert "concave" in capsys.readouterr().err
+
 
 class TestRearrangeAndRademacher:
     def test_rearrange_roundtrip(self, tmp_path):
@@ -78,6 +84,15 @@ class TestVerify:
         data = json.loads(out.read_text())
         assert data["summary"]["pass"] is True
         assert data["seed"] == 7
+
+    def test_envelope_of_power_orlicz_space(self, tmp_path):
+        # diagnosing its envelope weight needs the norm of I_(0,1e-300], which
+        # is 1e-100, below 2^-200 times the sup of the indicator
+        out = tmp_path / "env.json"
+        args = ["verify", "envelope", "--space", "orlicz:power:3", "--trials", "5",
+                "--out", str(out)]
+        assert cli.main(args) == cli.EXIT_OK
+        assert json.loads(out.read_text())["summary"]["pass"] is True
 
     def test_unknown_suite_config_error(self):
         assert cli.main(["verify", "nonesuch"]) == cli.EXIT_CONFIG_ERROR

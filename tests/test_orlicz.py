@@ -158,3 +158,37 @@ class TestLuxemburgRows:
         )
         assert got[0] == 0.0
         assert got[1] == pytest.approx(1.0, rel=1e-11)
+
+
+class TestTinyNorms:
+    """Norms far below ||f||_inf, where the lower bracket leaves the halving range."""
+
+    CLOSED = {"power:3": lambda t: t ** (1.0 / 3.0), "hinge:1": lambda t: t / (1.0 + t)}
+
+    @pytest.mark.parametrize("desc", sorted(CLOSED))
+    def test_scalar_and_rows_match_closed_form(self, desc):
+        phi = ol.parse_orlicz(desc)
+        for t in (1e-300, 1e-200, 1e-100, 1e-61, 1e-20, 0.3):
+            want = self.CLOSED[desc](t)
+            f = sf.indicator(t)
+            scalar = ol.luxemburg_norm(f, phi)
+            rows = ol.luxemburg_norm_rows(np.array([[1.0, 0.0]]), f.lengths, phi)[0]
+            assert scalar == pytest.approx(want, rel=1e-12)
+            assert rows == pytest.approx(want, rel=1e-12)
+            assert ol.modular(f, phi, scalar) <= 1.0
+
+    @pytest.mark.parametrize("desc", ["power:3", "hinge:2"])
+    def test_least_subnormal_constant(self, desc):
+        phi = ol.parse_orlicz(desc)
+        tiny = 5e-324
+        assert ol.luxemburg_norm(sf.constant(tiny), phi) == tiny
+        assert ol.luxemburg_norm_rows(np.array([[tiny]]), np.array([1.0]), phi)[0] == tiny
+
+    def test_degenerate_phi_still_rejected(self):
+        # exp2 is capped at exp(700), so its modular stays below 1 on tiny sets
+        phi = ol.exp_square()
+        f = sf.indicator(1e-305)
+        with pytest.raises(ol.OrliczError, match="never exceeds 1"):
+            ol.luxemburg_norm(f, phi)
+        with pytest.raises(ol.OrliczError, match="never exceeds 1"):
+            ol.luxemburg_norm_rows(np.array([[1.0, 0.0]]), f.lengths, phi)

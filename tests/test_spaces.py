@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import step_functions
 from rispaces import spaces as sp
@@ -141,6 +141,7 @@ class TestHingeFamily:
             sp.hinge_family_bound(sf.constant(1.0), 0.0)
 
     @given(step_functions(), )
+    @example(sf.constant(5e-324))  # halving the lower bracket underflows to 0
     @settings(max_examples=100, deadline=None)
     def test_sandwich_holds(self, f):
         for t in (0.1, 0.3, 0.9):

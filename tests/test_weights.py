@@ -1,10 +1,12 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import step_functions
+from rispaces import spaces as sp
 from rispaces import stepfn as sf
 from rispaces import weights as wt
 
@@ -117,6 +119,23 @@ class TestMarcinkiewiczNorm:
     def test_zero_function(self):
         assert wt.marcinkiewicz_norm(sf.constant(0.0), wt.power_weight(0.5)) == 0.0
 
+    def test_non_concave_weight_rejected(self):
+        with pytest.raises(wt.WeightError, match="concave"):
+            wt.marcinkiewicz_norm(sf.indicator(0.3), wt.log_g_printed())
+
+    def test_diagnosed_once_per_weight(self):
+        calls = []
+
+        def fn(t):
+            calls.append(1)
+            return np.sqrt(np.asarray(t, float))
+
+        w = wt.custom_weight(fn, "sqrt")
+        built = len(calls)
+        for _ in range(3):
+            wt.marcinkiewicz_norm(sf.indicator(0.3), w)
+        assert len(calls) == built + 3  # one evaluation per norm, no new diagnosis
+
     @given(step_functions())
     @settings(max_examples=40, deadline=None)
     def test_dominates_breakpoint_quotients(self, f):
@@ -135,6 +154,33 @@ class TestMarcinkiewiczNorm:
         assert wt.marcinkiewicz_norm(f, w) == pytest.approx(
             wt.marcinkiewicz_norm(sf.rearrange(f), w), rel=1e-9, abs=1e-12
         )
+
+
+@lru_cache(maxsize=None)
+def _sup_weights():
+    named = [wt.parse_weight(d) for d in ("power:0.5", "power:1", "logG", "logG1", "logPsi")]
+    return tuple(named + [sp.envelope_weight(E) for E in sp.catalog().values()])
+
+
+class TestMarcinkiewiczBreakpointMax:
+    @given(step_functions())
+    @settings(max_examples=40, deadline=None)
+    def test_breakpoint_max_dominates_grid_oracle(self, f):
+        r = sf.rearrange(f)
+        b = r.breakpoints[1:]
+        F = np.cumsum(r.values * np.diff(r.breakpoints))
+        s = np.concatenate([np.geomspace(1e-8, 1.0, 100_000), b])
+        F_s = np.interp(s, r.breakpoints, np.concatenate(([0.0], F)))
+        for w in _sup_weights():
+            norm, argmax = wt.marcinkiewicz_sup(f, w)
+            if r.is_zero():
+                assert (norm, argmax) == (0.0, 1.0)
+                continue
+            q = F / w(b)
+            i = int(np.argmax(q))
+            assert norm == q[i] and argmax == b[i], w
+            oracle = float(np.max(F_s / w(s)))
+            assert norm >= oracle * (1.0 - 1e-12), w
 
 
 class TestWeightFormulas:
