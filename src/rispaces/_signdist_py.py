@@ -1,21 +1,18 @@
-"""Pure-numpy fallback for the sign-sum enumeration kernel.
+"""Sign-sum enumeration kernel.
 
-Produces the same multiset of floating-point sums as the compiled kernel:
-every sign vector's sum is accumulated left to right over the coefficients,
-so the two implementations agree bitwise.
+Every sign vector's sum is accumulated left to right from `start` over the
+coefficients, so callers may compare the multiset of sums bitwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-USING_EXTENSION = False
 
-
-def enumerate_signed_sums(coeffs: np.ndarray) -> np.ndarray:
-    """All 2^n values of sum_i eps_i * coeffs[i] over sign vectors eps."""
+def enumerate_signed_sums(coeffs: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """All 2^n values of start + sum_i eps_i * coeffs[i] over sign vectors eps."""
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    vals = np.zeros(1)
+    vals = np.full(1, start, dtype=np.float64)
     for a in coeffs:
         vals = np.concatenate([vals + a, vals - a])
     return vals

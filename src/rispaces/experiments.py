@@ -82,6 +82,14 @@ class ExperimentError(ValueError):
     """Bad experiment parameters."""
 
 
+def _require(minimum: int, **params) -> None:
+    """Reject a parameter below `minimum` before a suite draws anything, so
+    that no suite crashes or passes on an empty set of instances."""
+    for name, value in params.items():
+        if value < minimum:
+            raise ExperimentError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass
 class ExperimentReport:
     """One verification run: parameters in, rows and a pass flag out."""
@@ -383,6 +391,8 @@ def theorem1_report(
 ) -> ExperimentReport:
     """Growth of ||sum_1^n r_i||_E / sqrt(n) and of coefficient sums against
     the Euclidean norm, with empirical constant windows."""
+    _require(0, seed=seed, trials=trials, random_n_max=random_n_max)
+    _require(1, n_max=n_max)
     if n_max > 60:
         raise ExperimentError(f"n_max capped at 60, got {n_max}")
     if random_n_max > 24:
@@ -456,6 +466,8 @@ def sign_selection_report(
 ) -> ExperimentReport:
     """Exhaustive verification of the sign-selection inequality on random
     instances, cycling Phi over power:1, power:2, exp2."""
+    _require(0, seed=seed)
+    _require(1, trials=trials, n_max=n_max, max_plateaus=max_plateaus)
     if n_max > MAX_SIGN_N:
         raise ExperimentError(f"n_max capped at {MAX_SIGN_N}, got {n_max}")
     rng = np.random.default_rng(seed)
@@ -494,6 +506,8 @@ def derandomization_report(
 ) -> ExperimentReport:
     """Greedy conditional-expectation signs versus the exact modular
     distribution over all sign vectors."""
+    _require(0, seed=seed)
+    _require(1, trials=trials, n_max=n_max, max_plateaus=max_plateaus)
     if n_max > MAX_SIGN_N:
         raise ExperimentError(f"n_max capped at {MAX_SIGN_N}, got {n_max}")
     rng = np.random.default_rng(seed)
@@ -559,6 +573,9 @@ def envelope_lemma_check(
     functions; E=None runs the whole catalog."""
     from .spaces import ri_norm
 
+    _require(0, seed=seed)
+    _require(1, trials=trials, indicator_trials=indicator_trials)
+
     spaces = {E.name: E} if E is not None else catalog()
     rng = np.random.default_rng(seed)
     fs = [random_step_function(rng) for _ in range(trials)]
@@ -618,6 +635,9 @@ def g1_chain_check(
     indicator norms times value drops; (c) the measured constant in
     ||f||_G <= c' ||f||_G1, with a doubled-trials drift check."""
     from .spaces import ri_norm
+
+    _require(0, seed=seed)
+    _require(1, trials=trials, grid=grid)
 
     G, G1 = space_G(), space_G1()
     psi = _weights.log_psi()
@@ -697,6 +717,7 @@ def g_g1_indicator_comparison(
     Also tabulates t/phi(t) for the non-concave reading of the G weight,
     whose indicator quantity blows up as t -> 0.
     """
+    _require(1, grid_size=grid_size)
     G = space_G()
     phi1 = _weights.log_g1()
     phi_g = _weights.log_g()
@@ -743,6 +764,8 @@ def hinge_sandwich_report(
 ) -> ExperimentReport:
     """A/2 <= hinge Orlicz norm <= A for A the partial integral up to t, plus
     a mu-grid re-derivation of A = inf_mu (t*mu + int (|f|-mu)^+)."""
+    _require(0, seed=seed, oracle_instances=oracle_instances)
+    _require(1, trials=trials)
     rng = np.random.default_rng(seed)
     cases = [
         (random_step_function(rng), float(rng.uniform(0.01, 1.0)))
@@ -788,6 +811,8 @@ def hinge_sandwich_report(
 def rearrangement_report(trials: int = 10000, seed: int = 42) -> ExperimentReport:
     """Idempotence (bitwise), equimeasurability, and integral preservation of
     the decreasing rearrangement on random step functions."""
+    _require(0, seed=seed)
+    _require(1, trials=trials)
     rng = np.random.default_rng(seed)
     batch = 1000
     rows = []
@@ -836,6 +861,8 @@ def luxemburg_report(
 ) -> ExperimentReport:
     """Luxemburg norm against closed forms: exp-square indicator norms and the
     Lp specialization on random functions."""
+    _require(0, seed=seed)
+    _require(1, trials=trials, grid=grid)
     phi = _orlicz.exp_square()
     ts = np.geomspace(1e-6, 1.0, grid)
     worst_cf = 0.0
@@ -876,6 +903,7 @@ def fundamental_report(
     """Indicator-norm identities for Lorentz and Marcinkiewicz spaces, with a
     dense-grid oracle for the Marcinkiewicz supremum and the product identity
     ||I||_Lorentz * ||I||_Marcinkiewicz = t."""
+    _require(1, grid=grid, oracle_points=oracle_points)
     weights_list = [
         _weights.power_weight(0.5),
         _weights.power_weight(1.0),

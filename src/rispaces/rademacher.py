@@ -3,24 +3,20 @@
 The n-th Rademacher function alternates +1/-1 on the 2^n dyadic intervals of
 (0, 1]. Signed sums over the first n of them realize the uniform distribution
 on sign vectors exactly, so norms of Rademacher sums reduce to the exact
-distribution of sum_i a_i * eps_i, obtained either by full enumeration (hot
-kernel, compiled when available) or by binomial weights when all coefficients
-are equal.
+distribution of sum_i a_i * eps_i, obtained either by enumerating the sign
+vectors with eps_0 = +1 (the others are their exact negations) or by binomial
+weights when all coefficients are equal. Atom measures are count/2^n, which
+float64 holds exactly, so the distribution is exact without rationals.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-try:
-    from . import _signdist as _kernel
-except ImportError:  # extension not built; numpy fallback is bitwise identical
-    from . import _signdist_py as _kernel
-
+from . import _signdist_py as _kernel
 from .spaces import SpaceSpec, ri_norm
 from .stepfn import StepFunction
 
@@ -37,7 +33,7 @@ __all__ = [
 
 MAX_ENUM_N = 24  # 16.7M sign vectors, still desk-scale
 MAX_EQUAL_N = 60  # binomial fast path for equal coefficients
-USING_EXTENSION = _kernel.USING_EXTENSION
+USING_EXTENSION = False  # the one enumeration kernel is numpy; kept for readers of the flag
 
 
 class RademacherError(ValueError):
@@ -76,21 +72,24 @@ def signed_sum(coeffs: Sequence[float], signs: Sequence[int]) -> StepFunction:
 
 
 def _atoms_to_step(values_desc: np.ndarray, counts, denominator: int) -> StepFunction:
-    """Step function from atoms (value, count/denominator), values descending."""
-    cum = 0
-    breaks = [0.0]
-    for c in counts:
-        cum += int(c)
-        breaks.append(float(Fraction(cum, denominator)))
+    """Step function from atoms (value, count/denominator), values descending.
+
+    Each breakpoint is the double nearest to cum/2^n: the int64 running count
+    is rounded once to float64, and dividing by 2^n (n <= 60) is exact."""
+    if denominator < 1 or denominator & (denominator - 1) or denominator > 1 << 60:
+        raise RademacherError(f"denominator must be 2^n with n <= 60, got {denominator}")
+    breaks = np.zeros(len(counts) + 1)
+    np.divide(np.cumsum(counts, dtype=np.int64), float(denominator), out=breaks[1:])
     breaks[-1] = 1.0
-    return StepFunction(np.asarray(breaks), values_desc)
+    return StepFunction(breaks, values_desc)
 
 
 def sum_rearrangement(coeffs: Sequence[float]) -> StepFunction:
     """Non-increasing rearrangement of |sum_i a_i eps_i| under uniform signs.
 
-    2^n atoms of measure 2^-n, compacted; equal coefficients go through
-    binomial weights C(n,k) on the values |n-2k|*|a| instead of enumeration.
+    2^n atoms of measure 2^-n, compacted, with eps_0 = -1 counted by symmetry;
+    equal coefficients go through binomial weights C(n,k) on the values
+    |n-2k|*|a| instead of enumeration.
     """
     a = np.asarray(coeffs, dtype=np.float64)
     n = len(a)
@@ -111,9 +110,11 @@ def sum_rearrangement(coeffs: Sequence[float]) -> StepFunction:
         return _atoms_to_step(np.asarray(values), counts, 1 << n)
     if n > MAX_ENUM_N:
         raise RademacherError(f"n={n} exceeds the enumeration cap {MAX_ENUM_N}")
-    sums = np.abs(_kernel.enumerate_signed_sums(a))
+    # eps_0 = -1 gives the exact negations, so the 2^(n-1) sums with
+    # eps_0 = +1 carry the distribution; starting at a[0] keeps the order
+    sums = np.abs(_kernel.enumerate_signed_sums(a[1:], start=a[0]))
     values, counts = np.unique(sums, return_counts=True)
-    return _atoms_to_step(values[::-1], counts[::-1], 1 << n)
+    return _atoms_to_step(values[::-1], counts[::-1], 1 << (n - 1))
 
 
 def rademacher_sum_norm(coeffs: Sequence[float], E: SpaceSpec) -> float:

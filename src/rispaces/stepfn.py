@@ -8,6 +8,7 @@ All functions here are pure; StepFunction instances are immutable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -104,9 +105,12 @@ class StepFunction:
     def k(self) -> int:
         return len(self.values)
 
-    @property
+    @functools.cached_property
     def lengths(self) -> np.ndarray:
-        return np.diff(self.breakpoints)
+        """Interval lengths, computed once per instance and read-only."""
+        lengths = np.diff(self.breakpoints)
+        lengths.flags.writeable = False
+        return lengths
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepFunction):

@@ -121,3 +121,37 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.entrypoint()
         assert exc.value.code == cli.EXIT_OK
+
+
+DEGENERATE_FLAGS = [
+    ("sign", ["--trials", "0"]),
+    ("sign", ["--trials", "-1"]),
+    ("sign", ["--n", "0"]),
+    ("sign", ["--seed", "-1"]),
+    ("derandomize", ["--trials", "0"]),
+    ("derandomize", ["--n", "0"]),
+    ("theorem1", ["--nmax", "0"]),
+    ("theorem1", ["--trials", "-1"]),
+    ("envelope", ["--trials", "0"]),
+    ("luxemburg", ["--trials", "0"]),
+    ("luxemburg", ["--grid", "0"]),
+    ("rearrangement", ["--trials", "0"]),
+    ("g1chain", ["--trials", "0"]),
+    ("g1chain", ["--grid", "0"]),
+    ("gg1", ["--grid", "0"]),
+    ("fundamental", ["--grid", "0"]),
+    ("hinge", ["--trials", "0"]),
+    ("hinge", ["--seed", "-1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, flags", DEGENERATE_FLAGS, ids=[f"{s}:{'='.join(f)}" for s, f in DEGENERATE_FLAGS]
+)
+def test_degenerate_flag_is_config_error(suite, flags, capsys):
+    # neither a crash (exit 1 with a traceback) nor a pass on no instances
+    assert cli.main(["verify", suite, *flags]) == cli.EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("config error:")

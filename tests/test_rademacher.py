@@ -1,13 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rispaces import rademacher as rd
 from rispaces import stepfn as sf
 from rispaces import spaces as sp
 from rispaces._signdist_py import enumerate_signed_sums as enum_py
-from rispaces.rademacher import _kernel
 
 
 class TestRademacherFunctions:
@@ -110,12 +112,68 @@ class TestSumRearrangement:
         rd.sum_rearrangement([1.0] * rd.MAX_EQUAL_N)  # fast path still fine
 
 
+def _fraction_reference(coeffs) -> sf.StepFunction:
+    """The distribution by full enumeration (binomial weights for equal
+    coefficients), with each breakpoint rounded from an exact rational."""
+    a = np.asarray(coeffs, dtype=np.float64)
+    n = len(a)
+    if np.all(a == a[0]):
+        c = abs(float(a[0]))
+        atoms = [(c * (n - 2 * k), math.comb(n, k) * (1 if 2 * k == n else 2))
+                 for k in range(n // 2 + 1)]
+    else:
+        values, counts = np.unique(np.abs(enum_py(a)), return_counts=True)
+        atoms = list(zip(values[::-1], counts[::-1]))
+    cum = 0
+    breaks = [0.0]
+    for _, count in atoms:
+        cum += int(count)
+        breaks.append(float(Fraction(cum, 1 << n)))
+    breaks[-1] = 1.0
+    return sf.StepFunction(np.array(breaks), np.array([v for v, _ in atoms]))
+
+
+def _bitwise_equal(f: sf.StepFunction, g: sf.StepFunction) -> bool:
+    return (f.breakpoints.tobytes() == g.breakpoints.tobytes()
+            and f.values.tobytes() == g.values.tobytes())
+
+
+class TestExactDistribution:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=20))
+    def test_random_coefficients_match_fraction_reference(self, coeffs):
+        assert _bitwise_equal(rd.sum_rearrangement(coeffs), _fraction_reference(coeffs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1.0, 0.1, 1.0 / 3.0, 2.5e-300, -2.5])
+        | st.floats(-1e300, 1e300, allow_nan=False),
+        st.integers(1, rd.MAX_EQUAL_N),
+    )
+    def test_equal_coefficients_match_fraction_reference(self, c, n):
+        coeffs = [c] * n
+        assert _bitwise_equal(rd.sum_rearrangement(coeffs), _fraction_reference(coeffs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=20))
+    def test_integer_coefficients_match_fraction_reference(self, coeffs):
+        coeffs = [float(c) for c in coeffs]
+        assert _bitwise_equal(rd.sum_rearrangement(coeffs), _fraction_reference(coeffs))
+
+    def test_rejects_denominator_not_power_of_two(self):
+        for bad in (0, 3, 12, 1 << 61):
+            with pytest.raises(rd.RademacherError):
+                rd._atoms_to_step(np.array([1.0]), [bad], bad)
+
+
 class TestKernel:
-    def test_fallback_matches_selected_kernel(self, rng):
-        coeffs = rng.normal(size=10)
-        a = np.sort(_kernel.enumerate_signed_sums(coeffs))
-        b = np.sort(enum_py(coeffs))
-        assert np.array_equal(a, b)
+    def test_half_enumeration_mirrors_full(self, rng):
+        # sums with eps_0 = -1 are the exact negations of those with eps_0 = +1
+        for n in (1, 2, 7, 12):
+            a = rng.normal(size=n)
+            h = enum_py(a[1:], start=a[0])
+            assert len(h) == 1 << (n - 1)
+            assert np.array_equal(np.sort(enum_py(a)), np.sort(np.concatenate([h, -h])))
 
     def test_small_case_by_hand(self):
         got = np.sort(enum_py(np.array([1.0, 2.0])))

@@ -24,6 +24,15 @@ class TestConstruction:
         with pytest.raises(sf.StepFunctionError):
             F([0, 0.9], [1.0])
 
+    def test_lengths_cached_and_read_only(self):
+        f = F([0, 0.25, 0.7, 1], [3.0, 1.0, 2.0])
+        assert f.lengths is f.lengths
+        assert np.array_equal(f.lengths, np.diff(f.breakpoints))
+        with pytest.raises(ValueError):
+            f.lengths[0] = 0.5
+        with pytest.raises(AttributeError):
+            f.lengths = np.ones(3)
+
     def test_rejects_non_increasing_breaks(self):
         with pytest.raises(sf.StepFunctionError):
             F([0, 0.5, 0.5, 1], [1.0, 2.0, 3.0])

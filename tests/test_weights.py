@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import step_functions
 from rispaces import spaces as sp
@@ -164,13 +164,18 @@ def _sup_weights():
 
 class TestMarcinkiewiczBreakpointMax:
     @given(step_functions())
+    @example(sf.constant(5e-324))
+    @example(sf.constant(2.225073858507203e-309))
     @settings(max_examples=40, deadline=None)
     def test_breakpoint_max_dominates_grid_oracle(self, f):
         r = sf.rearrange(f)
         b = r.breakpoints[1:]
         F = np.cumsum(r.values * np.diff(r.breakpoints))
         s = np.concatenate([np.geomspace(1e-8, 1.0, 100_000), b])
-        F_s = np.interp(s, r.breakpoints, np.concatenate(([0.0], F)))
+        # the grid oracle interpolates F scaled by an exact power of two, so
+        # that a subnormal F (f = 5e-324) keeps its digits in the interpolation
+        k = -math.frexp(float(r.values[0]))[1]
+        F_s = np.interp(s, r.breakpoints, np.ldexp(np.concatenate(([0.0], F)), k))
         for w in _sup_weights():
             norm, argmax = wt.marcinkiewicz_sup(f, w)
             if r.is_zero():
@@ -179,7 +184,7 @@ class TestMarcinkiewiczBreakpointMax:
             q = F / w(b)
             i = int(np.argmax(q))
             assert norm == q[i] and argmax == b[i], w
-            oracle = float(np.max(F_s / w(s)))
+            oracle = math.ldexp(float(np.max(F_s / w(s))), -k)
             assert norm >= oracle * (1.0 - 1e-12), w
 
 
