@@ -42,6 +42,7 @@ from .stepfn import (
     integral,
     l1_norm,
     lp_norm,
+    lp_norm_rows,
     measure_above,
     partial_integral,
     rearrange,
@@ -250,22 +251,35 @@ def _all_signs(n: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def sign_bruteforce(xs, E: SpaceSpec):
-    """Exact maximizer of ||sum_i eps_i x_i||_E over all 2^n sign vectors.
+def _half_sign_sums(xs):
+    """(breaks, lengths, signs, S): the common refinement of the x_i and the
+    sums sum_i eps_i x_i on it, one row of S per row of `signs`.
 
-    Ties break lexicographically with +1 before -1. Returns (signs, best).
+    `signs` holds only the 2^(n-1) sign vectors with eps_1 = +1, in
+    lexicographic order (+1 before -1): the others give the exact negations,
+    and every norm and every Phi here is even, so a maximum or an average
+    over these rows is one over all 2^n.
     """
     n = len(xs)
     if not 1 <= n <= MAX_SIGN_N:
         raise ExperimentError(f"need 1 <= n <= {MAX_SIGN_N} functions, got {n}")
     breaks, dl, X = _refinement_matrix(xs)
-    signs = _all_signs(n)
-    S = signs @ X
+    signs = np.hstack([np.ones((1 << (n - 1), 1)), _all_signs(n - 1)])
+    return breaks, dl, signs, signs @ X
+
+
+def sign_bruteforce(xs, E: SpaceSpec):
+    """Exact maximizer of ||sum_i eps_i x_i||_E over all 2^n sign vectors.
+
+    Ties break lexicographically with +1 before -1, so eps_1 = +1. Returns
+    (signs, best).
+    """
+    breaks, dl, signs, S = _half_sign_sums(xs)
     if E.kind == "orlicz":
-        norms = _orlicz.luxemburg_norm_rows(S, dl, E.phi)
-    elif E.kind == "lp":
-        A = np.abs(S)
-        norms = A @ dl if E.p == 1.0 else (A**E.p @ dl) ** (1.0 / E.p)
+        i, best = _orlicz.luxemburg_norm_max(S, dl, E.phi)
+        return tuple(int(s) for s in signs[i]), best
+    if E.kind == "lp":
+        norms = lp_norm_rows(S, dl, E.p)
     elif E.kind == "linf":
         norms = np.abs(S).max(axis=1)
     else:
@@ -313,9 +327,14 @@ def derandomized_signs(xs, phi: _orlicz.OrliczFunction, lam: float):
     if not 1 <= n <= MAX_SIGN_N:
         raise ExperimentError(f"need 1 <= n <= {MAX_SIGN_N} functions, got {n}")
     _, dl, X = _refinement_matrix(xs)
+    return _conditional_signs(X, dl, phi, lam)
+
+
+def _conditional_signs(X, dl, phi, lam):
+    """`derandomized_signs` on the refinement matrix X (one function per row)."""
     prefix = np.zeros(X.shape[1])
     chosen = []
-    for i in range(n):
+    for i in range(X.shape[0]):
         rest = X[i + 1 :]
         avg_plus = _avg_modular(prefix + X[i], rest, dl, phi, lam)
         avg_minus = _avg_modular(prefix - X[i], rest, dl, phi, lam)
@@ -328,7 +347,8 @@ def derandomized_signs(xs, phi: _orlicz.OrliczFunction, lam: float):
 def _sign_instance(xs, phi: _orlicz.OrliczFunction) -> dict:
     """Quantities of the sign-selection inequality for one instance."""
     n = len(xs)
-    _, best = sign_bruteforce(xs, SpaceSpec("orlicz", f"orlicz:{phi.descriptor}", phi=phi))
+    _, dl, _, S = _half_sign_sums(xs)
+    _, best = _orlicz.luxemburg_norm_max(S, dl, phi)
     l1_norms = [l1_norm(x) for x in xs]
     rhs_fn = sum_rearrangement(l1_norms)
     rhs = _orlicz.luxemburg_norm(rhs_fn, phi)
@@ -341,13 +361,11 @@ def _sign_instance(xs, phi: _orlicz.OrliczFunction) -> dict:
         "pass": bool(best >= rhs - INEQ_SLACK),
     }
     # L1 variant of the left side, measured but not gated
-    _, l1_best = sign_bruteforce(xs, SpaceSpec("lp", "Lp:1", p=1.0))
+    l1_best = float(np.max(lp_norm_rows(S, dl, 1.0)))
     row["l1_best"] = l1_best
     row["l1_ratio"] = l1_best / rhs if rhs > 0 else math.inf
     # the averaged-modular chain the proof actually establishes, at lam = lhs
     if best > 0.0:
-        _, dl, X = _refinement_matrix(xs)
-        S = _all_signs(n) @ X
         ave_eps = float(np.mean(phi(S / best) @ dl))
         ave_eta = _orlicz.modular(rhs_fn, phi, best)
         row["ave_eta_modular"] = ave_eta
@@ -470,12 +488,13 @@ def sign_selection_report(
     _require(1, trials=trials, n_max=n_max, max_plateaus=max_plateaus)
     if n_max > MAX_SIGN_N:
         raise ExperimentError(f"n_max capped at {MAX_SIGN_N}, got {n_max}")
+    phis = [_orlicz.parse_orlicz(d) for d in _SIGN_PHIS]
     rng = np.random.default_rng(seed)
     instances = []
     for i in range(trials):
         n = int(rng.integers(1, n_max + 1))
         xs = [random_step_function(rng, max_plateaus) for _ in range(n)]
-        instances.append((xs, _orlicz.parse_orlicz(_SIGN_PHIS[i % len(_SIGN_PHIS)])))
+        instances.append((xs, phis[i % len(phis)]))
     rows = _pmap(lambda inst: _sign_instance(*inst), instances)
     for i, row in enumerate(rows):
         row["case"] = i
@@ -510,12 +529,13 @@ def derandomization_report(
     _require(1, trials=trials, n_max=n_max, max_plateaus=max_plateaus)
     if n_max > MAX_SIGN_N:
         raise ExperimentError(f"n_max capped at {MAX_SIGN_N}, got {n_max}")
+    phis = [_orlicz.parse_orlicz(d) for d in _SIGN_PHIS]
     rng = np.random.default_rng(seed)
     instances = []
     for i in range(trials):
         n = int(rng.integers(1, n_max + 1))
         xs = [random_step_function(rng, max_plateaus) for _ in range(n)]
-        instances.append((xs, _orlicz.parse_orlicz(_SIGN_PHIS[i % len(_SIGN_PHIS)])))
+        instances.append((xs, phis[i % len(phis)]))
 
     def one(inst):
         xs, phi = inst
@@ -523,7 +543,7 @@ def derandomization_report(
         _, dl, X = _refinement_matrix(xs)
         # keep |values|/lam <= 1 so the exp-square modular stays tame
         lam = max(float(np.max(np.abs(X).sum(axis=0))), 1e-9)
-        signs = derandomized_signs(xs, phi, lam)
+        signs = _conditional_signs(X, dl, phi, lam)
         S = _all_signs(n) @ X
         mods = phi(S / lam) @ dl
         greedy = float(np.dot(phi((np.asarray(signs) @ X) / lam), dl))

@@ -7,6 +7,7 @@ non-increasing in lam for step functions and finite-valued Phi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,6 +26,7 @@ __all__ = [
     "parse_orlicz",
     "modular",
     "luxemburg_norm",
+    "luxemburg_norm_max",
     "luxemburg_norm_rows",
     "BISECT_RTOL",
     "MAX_BISECT_ITER",
@@ -136,12 +138,57 @@ def luxemburg_norm(f: StepFunction, phi: OrliczFunction) -> float:
     """
     if f.is_zero():
         return 0.0
-    lam = linf_norm(f)
-    if modular(f, phi, lam) > 1.0:
+    return _find_root(functools.partial(modular, f, phi), linf_norm(f))
+
+
+def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunction):
+    """(index, norm) of the row of largest Luxemburg norm among step functions
+    sharing one partition: `values` has one function per row, `lengths` are
+    the shared interval lengths.
+
+    One root find of lam -> max_i M_i(lam), M_i the modular of row i. At a lam
+    where the maximum exceeds 1, a row whose modular is <= 1 has norm <= lam,
+    below the largest norm, so it is dropped for good; the rows that survive
+    all have norms within the bisection tolerance of the largest one, and the
+    first of them is returned (ties go to the lowest index). An all-zero
+    input gives (0, 0.0).
+    """
+    A = np.abs(np.asarray(values, dtype=np.float64))
+    lengths = np.asarray(lengths, dtype=np.float64)
+    sup = A.max(axis=1)
+    top = float(sup.max())
+    if top == 0.0:
+        return 0, 0.0
+    live = np.flatnonzero(sup > 0.0)  # rows that may still hold the largest norm
+    rows = A[live]
+
+    def max_modular(lam):
+        nonlocal live, rows
+        m = phi(rows / lam) @ lengths
+        largest = m.max()
+        if largest > 1.0:
+            keep = m > 1.0
+            if not keep.all():
+                live, rows = live[keep], rows[keep]
+        return largest
+
+    norm = _find_root(max_modular, top)
+    return int(live[0]), norm
+
+
+def _find_root(mod, lam: float) -> float:
+    """Least lam, to BISECT_RTOL relative, with mod(lam) <= 1, for a
+    non-increasing modular `mod`.
+
+    Brackets from the first guess `lam` by doubling or halving, falls back to
+    a bisection on the binary exponent when 2^-MAX_BISECT_ITER * lam is still
+    below the root, then bisects. Returns the upper end of the bracket.
+    """
+    if mod(lam) > 1.0:
         lo = lam
         hi = 2.0 * lam
         for _ in range(MAX_BISECT_ITER):
-            if modular(f, phi, hi) <= 1.0:
+            if mod(hi) <= 1.0:
                 break
             lo, hi = hi, 2.0 * hi
         else:  # pragma: no cover - admissible Phi cannot get here
@@ -152,18 +199,18 @@ def luxemburg_norm(f: StepFunction, phi: OrliczFunction) -> float:
         for _ in range(MAX_BISECT_ITER):
             if lo == 0.0:
                 return hi  # halving underflowed: hi is the least positive double
-            if modular(f, phi, lo) > 1.0:
+            if mod(lo) > 1.0:
                 break
             hi, lo = lo, lo / 2.0
-        else:  # the norm is below 2^-MAX_BISECT_ITER * ||f||_inf
+        else:  # the root is below 2^-MAX_BISECT_ITER * lam
             los, his = _exponent_bracket(
-                lambda rows, lam: np.array([modular(f, phi, lam[0]) > 1.0]), np.array([hi]))
+                lambda rows, lam: np.array([mod(lam[0]) > 1.0]), np.array([hi]))
             lo, hi = float(los[0]), float(his[0])
     for _ in range(MAX_BISECT_ITER):
         if hi - lo <= BISECT_RTOL * hi:
             break
         mid = 0.5 * (lo + hi)
-        if modular(f, phi, mid) <= 1.0:
+        if mod(mid) <= 1.0:
             hi = mid
         else:
             lo = mid

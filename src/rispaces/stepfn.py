@@ -15,6 +15,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+_TINY = np.finfo(np.float64).tiny  # least positive normal float
+
 __all__ = [
     "StepFunction",
     "StepFunctionError",
@@ -29,6 +31,7 @@ __all__ = [
     "l1_norm",
     "l2_norm",
     "lp_norm",
+    "lp_norm_rows",
     "linf_norm",
     "measure_above",
     "common_breakpoints",
@@ -217,7 +220,41 @@ def lp_norm(f: StepFunction, p: float) -> float:
         return l1_norm(f)
     if math.isinf(p):
         return linf_norm(f)
-    return math.fsum(np.abs(f.values) ** p * f.lengths) ** (1.0 / p)
+    lengths = f.lengths
+    return float(_lp_of_abs(np.abs(f.values), p, lambda x: math.fsum(x * lengths)))
+
+
+def lp_norm_rows(values: np.ndarray, lengths: np.ndarray, p: float) -> np.ndarray:
+    """Lp norms of many step functions sharing one partition: `values` has one
+    function per row, `lengths` are the shared interval lengths."""
+    if p < 1.0:
+        raise StepFunctionError(f"p must be >= 1, got {p}")
+    a = np.abs(np.asarray(values, dtype=np.float64))
+    if math.isinf(p):
+        return a.max(axis=1)
+    lengths = np.asarray(lengths, dtype=np.float64)
+    return _lp_of_abs(a, p, lambda x: x @ lengths)
+
+
+def _lp_of_abs(a: np.ndarray, p: float, power_sum):
+    """power_sum(a**p) ** (1/p) for a >= 0, one function or one per row.
+
+    A direct power sum that is not a normal float has under- or overflowed
+    (or, if subnormal, lost digits); such functions are evaluated on a/max(a)
+    and scaled back by max(a), so the norm is positively homogeneous. All
+    other functions keep the direct value bit for bit.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        s = power_sum(a ** p)
+    norm = s ** (1.0 / p)
+    normal = (s >= _TINY) & np.isfinite(s)
+    if np.all(normal):
+        return norm
+    sup = np.max(a, axis=-1)
+    redo = ~normal & (sup > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        scaled = sup * power_sum((a / sup[..., None]) ** p) ** (1.0 / p)
+    return np.where(redo, scaled, norm)
 
 
 def l2_norm(f: StepFunction) -> float:

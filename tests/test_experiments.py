@@ -88,6 +88,11 @@ class TestSignBruteforce:
         )
         assert fast == pytest.approx(best, rel=1e-10)
 
+    def test_lp_infinity_is_sup(self):
+        xs = [sf.constant(2.0), sf.indicator(0.5)]
+        assert ex.sign_bruteforce(xs, sp.lp_space(math.inf)) == ((1, 1), 3.0)
+        assert ex.sign_bruteforce(xs, sp.linf_space()) == ((1, 1), 3.0)
+
     def test_cap_enforced(self):
         xs = [sf.constant(1.0)] * (ex.MAX_SIGN_N + 1)
         with pytest.raises(ex.ExperimentError):

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import step_functions
+from rispaces import experiments as ex
 from rispaces import orlicz as ol
+from rispaces import spaces as sp
 from rispaces import stepfn as sf
 
 
@@ -158,6 +161,82 @@ class TestLuxemburgRows:
         )
         assert got[0] == 0.0
         assert got[1] == pytest.approx(1.0, rel=1e-11)
+
+
+MAX_PHIS = ("exp2", "power:1", "power:2", "power:3.5", "hinge:1")
+
+
+def _close(got, want, rtol=2e-12):
+    return abs(got - want) <= rtol * want
+
+
+class TestLuxemburgNormMax:
+    """The largest Luxemburg norm among many rows, by one pruned root find."""
+
+    @pytest.mark.parametrize("desc", MAX_PHIS)
+    @given(xs=st.lists(step_functions(max_pieces=4), min_size=1, max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_largest_scalar_norm(self, desc, xs):
+        phi = ol.parse_orlicz(desc)
+        breaks, dl, X = ex._refinement_matrix(xs)
+        S = ex._all_signs(len(xs)) @ X
+        scalar = [ol.luxemburg_norm(sf.StepFunction(breaks, row), phi) for row in S]
+        want = max(scalar)
+        i, norm = ol.luxemburg_norm_max(S, dl, phi)
+        assert _close(norm, want)
+        assert _close(scalar[i], want)
+        signs, best = ex.sign_bruteforce(xs, sp.orlicz_space(phi))
+        assert signs[0] == 1
+        assert _close(best, want)
+        row = np.asarray(signs, dtype=float) @ X
+        assert _close(ol.luxemburg_norm(sf.StepFunction(breaks, row), phi), want)
+
+    def test_all_zero(self):
+        zeros = np.zeros((4, 3))
+        assert ol.luxemburg_norm_max(zeros, np.full(3, 1.0 / 3.0), ol.exp_square()) == (0, 0.0)
+
+    def test_ties_go_to_the_first_row(self):
+        lengths = np.array([0.5, 0.5])
+        phi = ol.power(2.0)
+        assert ol.luxemburg_norm_max(np.array([[0.0, 1.0], [1.0, 0.0]]), lengths, phi)[0] == 0
+        V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        i, norm = ol.luxemburg_norm_max(V, lengths, phi)
+        assert i == 1 and norm == pytest.approx(math.sqrt(0.5), rel=1e-12)
+
+    def test_tied_disjoint_indicators(self):
+        xs = [sf.indicator(0.5), sf.step_function([0, 0.5, 1], [0.0, 1.0])]
+        signs, best = ex.sign_bruteforce(xs, sp.orlicz_space(ol.power(2.0)))
+        assert signs == (1, 1)
+        assert best == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("desc", MAX_PHIS)
+    def test_single_and_duplicated_functions(self, desc):
+        phi = ol.parse_orlicz(desc)
+        x = sf.step_function([0, 0.3, 1], [2.0, -0.5])
+        E = sp.orlicz_space(phi)
+        signs, best = ex.sign_bruteforce([x], E)
+        assert signs == (1,)
+        assert _close(best, ol.luxemburg_norm(x, phi))
+        signs, best = ex.sign_bruteforce([x, x, x], E)
+        assert signs == (1, 1, 1)
+        assert _close(best, ol.luxemburg_norm(x.scale(3.0), phi))
+
+    def test_least_subnormal_rows(self):
+        V = np.array([[0.0], [5e-324], [5e-324]])
+        assert ol.luxemburg_norm_max(V, np.array([1.0]), ol.power(3.0)) == (1, 5e-324)
+
+    @pytest.mark.parametrize("desc", ["power:3", "hinge:1"])
+    def test_norm_far_below_sup(self, desc):
+        # t^(1/3) and t/(1+t) at t = 1e-300: below 2^-200 times the sup, so
+        # the bracket comes from the bisection on the binary exponent
+        phi = ol.parse_orlicz(desc)
+        f = sf.indicator(1e-300)
+        i, norm = ol.luxemburg_norm_max(np.array([[0.5, 0.0], [1.0, 0.0]]), f.lengths, phi)
+        assert i == 1
+        assert norm < 2.0 ** -200
+        assert _close(norm, ol.luxemburg_norm(f, phi))
+        assert norm == pytest.approx(TestTinyNorms.CLOSED[desc](1e-300), rel=1e-12)
+        assert ol.modular(f, phi, norm) <= 1.0
 
 
 class TestTinyNorms:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import step_functions
 from rispaces import stepfn as sf
@@ -10,6 +11,17 @@ from rispaces import stepfn as sf
 
 def F(breaks, vals):
     return sf.step_function(breaks, vals)
+
+
+@st.composite
+def moderate_functions(draw, max_pieces=8):
+    """Values 0 or of modulus in [1e-3, 50] on pieces of length >= 1e-3, so
+    that c*f has normal values and a normal norm for |c| in [1e-300, 1e300]."""
+    inner = draw(st.lists(st.integers(1, 999), max_size=max_pieces - 1, unique=True))
+    breaks = [0.0, *sorted(k / 1000.0 for k in inner), 1.0]
+    magnitude = st.one_of(st.just(0.0), st.floats(1e-3, 50.0), st.floats(-50.0, -1e-3))
+    vals = draw(st.lists(magnitude, min_size=len(breaks) - 1, max_size=len(breaks) - 1))
+    return F(breaks, vals)
 
 
 class TestConstruction:
@@ -176,6 +188,32 @@ class TestNorms:
     def test_linf(self):
         f = F([0, 0.1, 1], [-9.0, 2.0])
         assert sf.linf_norm(f) == 9.0
+
+    def test_lp_far_from_one(self):
+        # the direct power sums underflow to 0, overflow to inf, or are
+        # subnormal (1e-320 keeps four digits)
+        for c in (1e-200, 1e200, 1e-160, 5e-324):
+            assert sf.lp_norm(sf.constant(c), 2.0) == c
+        assert sf.lp_norm(sf.constant(0.0), 2.0) == 0.0
+
+    @given(f=moderate_functions(), exponent=st.floats(-300.0, 300.0), negative=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_lp_homogeneous(self, f, exponent, negative):
+        c = -(10.0**exponent) if negative else 10.0**exponent
+        for p in (1.0, 2.0, 3.5, math.inf):
+            want = abs(c) * sf.lp_norm(f, p)
+            assert sf.lp_norm(f.scale(c), p) == pytest.approx(want, rel=1e-12)
+
+    def test_lp_rows_match_scalar(self, rng):
+        lengths = np.diff(np.concatenate(([0.0], np.sort(rng.uniform(0, 1, 5)), [1.0])))
+        breaks = np.concatenate(([0.0], np.cumsum(lengths)))
+        breaks[-1] = 1.0
+        scales = np.array([[1.0], [1e-200], [1e200], [0.0], [1e-160], [3.0]])
+        V = rng.uniform(-4.0, 4.0, size=(6, 6)) * scales
+        for p in (1.0, 2.0, 3.5, math.inf):
+            got = sf.lp_norm_rows(V, lengths, p)
+            for row, g in zip(V, got):
+                assert g == pytest.approx(sf.lp_norm(sf.StepFunction(breaks, row), p), rel=1e-12)
 
 
 class TestCombination:
