@@ -7,9 +7,7 @@ Subcommands:
     verify      run a named verification suite and write its report
 
 Exit codes: 0 ok / verified, 1 verification failed, 2 input error,
-3 configuration error. Reports are deterministic for a fixed seed; the
-RISPACES_WORKERS environment variable (positive integer, 1 = serial) only
-affects wall time, never the bytes written.
+3 configuration error. Reports are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from . import experiments as _experiments
 from . import stepfn as _stepfn
 from .orlicz import OrliczError
 from .rademacher import RademacherError, rademacher
-from .spaces import SpaceError, parse_space, ri_norm
+from .spaces import SpaceError, parse_space, ri_norm, space_G
 from .weights import WeightError
 
 EXIT_OK = 0
@@ -84,15 +82,10 @@ def _suite_kwargs(args) -> dict:
             raise _experiments.ExperimentError(f"suite {suite!r} takes no --trials")
         kw["trials"] = args.trials
     if args.space is not None:
-        if suite == "theorem1":
-            kw["E"] = parse_space(args.space)
-        elif suite == "envelope":
-            kw["E"] = parse_space(args.space)
-        else:
+        if suite not in ("theorem1", "envelope"):
             raise _experiments.ExperimentError(f"suite {suite!r} takes no --space")
+        kw["E"] = parse_space(args.space)
     elif suite == "theorem1":
-        from .spaces import space_G
-
         kw["E"] = space_G()
     if args.nmax is not None:
         if suite != "theorem1":

@@ -8,8 +8,7 @@ identities that everything else rests on.
 
 Every report is a pure function of (parameters, seed): instances are drawn
 up front from a seeded generator and row order is fixed, so repeated runs are
-byte-identical. Row evaluation may be spread over threads via the
-RISPACES_WORKERS environment variable (positive integer, 1 = serial).
+byte-identical.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +29,8 @@ from .spaces import (
     envelope_weight,
     fundamental_function,
     hinge_family_bound,
+    ri_norm,
+    ri_norm_max,
     space_G,
     space_G1,
 )
@@ -43,10 +42,8 @@ from .stepfn import (
     l1_norm,
     lp_norm,
     lp_norm_rows,
-    measure_above,
     partial_integral,
     rearrange,
-    stieltjes,
     values_on,
 )
 
@@ -71,7 +68,6 @@ __all__ = [
 ]
 
 MAX_SIGN_N = 20
-WORKERS_ENV = "RISPACES_WORKERS"
 
 # default slacks: bisection runs at 1e-12 relative, leaving two orders of
 # headroom on every norm comparison
@@ -179,27 +175,6 @@ def _text_cell(v) -> str:
     return str(v)
 
 
-def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ExperimentError(f"{WORKERS_ENV}={raw!r} is not a positive integer")
-    if n < 1:
-        raise ExperimentError(f"{WORKERS_ENV} must be >= 1, got {n}")
-    return n
-
-
-def _pmap(fn, items):
-    """Order-preserving map, threaded when RISPACES_WORKERS > 1."""
-    n = worker_count()
-    items = list(items)
-    if n == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 # --- instance generators ------------------------------------------------------
 
 
@@ -274,24 +249,9 @@ def sign_bruteforce(xs, E: SpaceSpec):
     Ties break lexicographically with +1 before -1, so eps_1 = +1. Returns
     (signs, best).
     """
-    breaks, dl, signs, S = _half_sign_sums(xs)
-    if E.kind == "orlicz":
-        i, best = _orlicz.luxemburg_norm_max(S, dl, E.phi)
-        return tuple(int(s) for s in signs[i]), best
-    if E.kind == "lp":
-        norms = lp_norm_rows(S, dl, E.p)
-    elif E.kind == "linf":
-        norms = np.abs(S).max(axis=1)
-    else:
-        norms = np.array([ri_norm_of_row(breaks, row, E) for row in S])
-    i = int(np.argmax(norms))
-    return tuple(int(s) for s in signs[i]), float(norms[i])
-
-
-def ri_norm_of_row(breaks, row, E):
-    from .spaces import ri_norm
-
-    return ri_norm(StepFunction(breaks, row), E)
+    breaks, _, signs, S = _half_sign_sums(xs)
+    i, best = ri_norm_max(breaks, S, E)
+    return tuple(int(s) for s in signs[i]), best
 
 
 _CHUNK_BITS = 16
@@ -317,7 +277,9 @@ def _avg_modular(base, rest, dl, phi, lam):
 def derandomized_signs(xs, phi: _orlicz.OrliczFunction, lam: float):
     """Sign vector from the method of conditional expectations.
 
-    Fixes signs left to right, at each step keeping the choice whose exact
+    eps_1 = +1, as in `sign_bruteforce`: Phi is even, so the completions of
+    -x_1 are the negations of those of +x_1 and give the same average. The
+    other signs are fixed left to right, each keeping the choice whose exact
     conditional average of the modular is larger (+1 on ties); by pigeonhole
     the returned signs achieve a modular >= the average over all 2^n vectors.
     """
@@ -332,9 +294,9 @@ def derandomized_signs(xs, phi: _orlicz.OrliczFunction, lam: float):
 
 def _conditional_signs(X, dl, phi, lam):
     """`derandomized_signs` on the refinement matrix X (one function per row)."""
-    prefix = np.zeros(X.shape[1])
-    chosen = []
-    for i in range(X.shape[0]):
+    prefix = X[0]
+    chosen = [1]
+    for i in range(1, X.shape[0]):
         rest = X[i + 1 :]
         avg_plus = _avg_modular(prefix + X[i], rest, dl, phi, lam)
         avg_minus = _avg_modular(prefix - X[i], rest, dl, phi, lam)
@@ -428,7 +390,7 @@ def theorem1_report(
         equal_ratios.append(ratio)
         row = {"n": n, "equal_ratio": ratio}
         if n <= random_n_max and trials > 0:
-            rs = _pmap(lambda a: rademacher_sum_norm(a, E), coeff_sets[n])
+            rs = [rademacher_sum_norm(a, E) for a in coeff_sets[n]]
             row.update(
                 rand_min=float(np.min(rs)),
                 rand_max=float(np.max(rs)),
@@ -495,7 +457,7 @@ def sign_selection_report(
         n = int(rng.integers(1, n_max + 1))
         xs = [random_step_function(rng, max_plateaus) for _ in range(n)]
         instances.append((xs, phis[i % len(phis)]))
-    rows = _pmap(lambda inst: _sign_instance(*inst), instances)
+    rows = [_sign_instance(xs, phi) for xs, phi in instances]
     for i, row in enumerate(rows):
         row["case"] = i
     violations = sum(0 if r["pass"] else 1 for r in rows)
@@ -537,8 +499,7 @@ def derandomization_report(
         xs = [random_step_function(rng, max_plateaus) for _ in range(n)]
         instances.append((xs, phis[i % len(phis)]))
 
-    def one(inst):
-        xs, phi = inst
+    def one(xs, phi):
         n = len(xs)
         _, dl, X = _refinement_matrix(xs)
         # keep |values|/lam <= 1 so the exp-square modular stays tame
@@ -563,7 +524,7 @@ def derandomization_report(
             "beats_eta_average": bool(greedy >= ave_eta * (1.0 - 1e-12) - 1e-300),
         }
 
-    rows = _pmap(one, instances)
+    rows = [one(xs, phi) for xs, phi in instances]
     for i, row in enumerate(rows):
         row["case"] = i
     fails = sum(0 if r["pigeonhole_ok"] else 1 for r in rows)
@@ -591,8 +552,6 @@ def envelope_lemma_check(
 ) -> ExperimentReport:
     """Domination ||f||_E >= ||f||_{M(envelope)} and equality on 0/1-valued
     functions; E=None runs the whole catalog."""
-    from .spaces import ri_norm
-
     _require(0, seed=seed)
     _require(1, trials=trials, indicator_trials=indicator_trials)
 
@@ -604,22 +563,9 @@ def envelope_lemma_check(
     ok = True
     for name, space in spaces.items():
         env = envelope_weight(space)
-
-        def dom(f, space=space, env=env):
-            lhs = ri_norm(f, space)
-            rhs = _weights.marcinkiewicz_norm(f, env)
-            return lhs - rhs
-
-        margins = _pmap(dom, fs)
-        worst = min(margins) if margins else 0.0
-
-        def eq_gap(g, space=space, env=env):
-            lhs = ri_norm(g, space)
-            rhs = _weights.marcinkiewicz_norm(g, env)
-            return abs(lhs - rhs) / max(abs(lhs), 1e-300)
-
-        gaps = _pmap(eq_gap, gs)
-        worst_gap = max(gaps) if gaps else 0.0
+        worst = min(ri_norm(f, space) - _weights.marcinkiewicz_norm(f, env) for f in fs)
+        pairs = [(ri_norm(g, space), _weights.marcinkiewicz_norm(g, env)) for g in gs]
+        worst_gap = max(abs(lhs - rhs) / max(abs(lhs), 1e-300) for lhs, rhs in pairs)
         row_ok = worst >= -INEQ_SLACK * 10 and worst_gap <= EQ_RTOL
         ok = ok and row_ok
         rows.append(
@@ -654,8 +600,6 @@ def g1_chain_check(
     dominated by c * psi(t); (b) the layer-cake bound ||f||_E <= sum of
     indicator norms times value drops; (c) the measured constant in
     ||f||_G <= c' ||f||_G1, with a doubled-trials drift check."""
-    from .spaces import ri_norm
-
     _require(0, seed=seed)
     _require(1, trials=trials, grid=grid)
 
@@ -671,29 +615,23 @@ def g1_chain_check(
     rng = np.random.default_rng(seed)
     fs = [rearrange(random_step_function(rng)) for _ in range(trials)]
 
-    spaces = catalog()
     layer_worst = {}
-    for name, E in spaces.items():
-        def gap(f, E=E):
+    for name, E in catalog().items():
+        gaps = []
+        for f in fs:
             drops = np.append(f.values[:-1] - f.values[1:], f.values[-1])
-            rhs = float(
-                np.dot(fundamental_function(E, f.breakpoints[1:]), drops)
-            )
-            lhs = ri_norm(f, E)
-            return lhs - rhs  # must be <= 0 up to slack
-
-        gaps = _pmap(gap, fs)
+            rhs = float(np.dot(fundamental_function(E, f.breakpoints[1:]), drops))
+            gaps.append(ri_norm(f, E) - rhs)  # must be <= 0 up to slack
         layer_worst[name] = max(gaps)
 
     def g_ratio(f):
         denom = ri_norm(f, G1)
         return ri_norm(f, G) / denom if denom > 0 else 0.0
 
-    ratios = _pmap(g_ratio, fs)
-    c_c = max(ratios)
+    c_c = max(g_ratio(f) for f in fs)
     rng2 = np.random.default_rng(seed)
     fs2 = [rearrange(random_step_function(rng2)) for _ in range(2 * trials)]
-    c_c2 = max(_pmap(g_ratio, fs2))
+    c_c2 = max(g_ratio(f) for f in fs2)
     drift = abs(c_c2 - c_c) / c_c if c_c > 0 else 0.0
 
     rows = [
@@ -792,14 +730,12 @@ def hinge_sandwich_report(
         for _ in range(trials)
     ]
 
-    def one(case):
-        f, t = case
+    rows = []
+    for i, (f, t) in enumerate(cases):
         hb = hinge_family_bound(f, t)
-        return {"t": t, "lower": hb.lower, "upper": hb.upper, "norm": hb.norm, "pass": hb.ok}
-
-    rows = _pmap(one, cases)
-    for i, row in enumerate(rows):
-        row["case"] = i
+        rows.append(
+            {"t": t, "lower": hb.lower, "upper": hb.upper, "norm": hb.norm, "pass": hb.ok, "case": i}
+        )
 
     # independent oracle for the sandwich constants: grid over mu at the kinks
     oracle_worst = 0.0

@@ -27,7 +27,6 @@ __all__ = [
     "modular",
     "luxemburg_norm",
     "luxemburg_norm_max",
-    "luxemburg_norm_rows",
     "BISECT_RTOL",
     "MAX_BISECT_ITER",
 ]
@@ -203,9 +202,7 @@ def _find_root(mod, lam: float) -> float:
                 break
             hi, lo = lo, lo / 2.0
         else:  # the root is below 2^-MAX_BISECT_ITER * lam
-            los, his = _exponent_bracket(
-                lambda rows, lam: np.array([mod(lam[0]) > 1.0]), np.array([hi]))
-            lo, hi = float(los[0]), float(his[0])
+            lo, hi = _exponent_bracket(mod, hi)
     for _ in range(MAX_BISECT_ITER):
         if hi - lo <= BISECT_RTOL * hi:
             break
@@ -217,74 +214,18 @@ def _find_root(mod, lam: float) -> float:
     return hi
 
 
-def _exponent_bracket(over, hi: np.ndarray):
-    """Brackets [2^a, 2^(a+1)] for norms below 2^-MAX_BISECT_ITER * hi, by
-    bisection on the binary exponent. `over(rows, lam)` tells, for the given
-    rows, whether the modular exceeds 1 at lam; it must not at `hi`."""
-    b = np.frexp(hi)[1]  # 2^b > hi
-    a = np.full_like(b, -1074)  # 2^-1074 is the least positive double
+def _exponent_bracket(mod, hi: float):
+    """Bracket [2^a, 2^(a+1)] for a norm below 2^-MAX_BISECT_ITER * hi, by
+    bisection on the binary exponent; mod(hi) must not exceed 1."""
+    b = math.frexp(hi)[1]  # 2^b > hi
+    a = -1074  # 2^-1074 is the least positive double
     with np.errstate(all="ignore"):  # f/lam may overflow to inf: modular > 1
-        if not np.all(over(np.arange(a.size), np.ldexp(1.0, a))):
+        if not mod(math.ldexp(1.0, a)) > 1.0:
             raise OrliczError("modular never exceeds 1; Phi appears degenerate on this input")
-        while (rows := np.flatnonzero(b - a > 1)).size:
-            mid = (a[rows] + b[rows]) // 2
-            up = over(rows, np.ldexp(1.0, mid))
-            a[rows[up]] = mid[up]
-            b[rows[~up]] = mid[~up]
-    return np.ldexp(1.0, a), np.ldexp(1.0, b)
-
-
-def luxemburg_norm_rows(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunction) -> np.ndarray:
-    """Luxemburg norms of many step functions sharing one partition.
-
-    `values` has one function per row; `lengths` are the shared interval
-    lengths. Vectorized bracketing plus bisection, same tolerances as the
-    scalar path.
-    """
-    A = np.abs(np.asarray(values, dtype=np.float64))
-    lengths = np.asarray(lengths, dtype=np.float64)
-    norms = np.zeros(A.shape[0])
-    sup = A.max(axis=1)
-    live = sup > 0.0
-    if not np.any(live):
-        return norms
-    A = A[live]
-    sup = sup[live]
-
-    def mod(lam):
-        return phi(A / lam[:, None]) @ lengths
-
-    hi = sup.copy()
-    m = mod(hi)
-    for _ in range(MAX_BISECT_ITER):
-        over = m > 1.0
-        if not np.any(over):
-            break
-        hi[over] *= 2.0
-        m[over] = phi(A[over] / hi[over, None]) @ lengths
-    lo = hi / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = mod(lo)
-        for _ in range(MAX_BISECT_ITER):
-            under = (m <= 1.0) & (lo > 0.0)
-            if not np.any(under):
-                break
-            hi[under] = lo[under]
-            lo[under] /= 2.0
-            m[under] = phi(A[under] / lo[under, None]) @ lengths
-        else:  # norms below 2^-MAX_BISECT_ITER * sup
-            deep = np.flatnonzero((m <= 1.0) & (lo > 0.0))
-            lo[deep], hi[deep] = _exponent_bracket(
-                lambda rows, lam: phi(A[deep[rows]] / lam[:, None]) @ lengths > 1.0,
-                lo[deep],
-            )
-    lo = np.where(lo > 0.0, lo, hi)  # halving underflowed: hi is the least positive double
-    for _ in range(MAX_BISECT_ITER):
-        if np.all(hi - lo <= BISECT_RTOL * hi):
-            break
-        mid = 0.5 * (lo + hi)
-        ok = mod(mid) <= 1.0
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    norms[live] = hi
-    return norms
+        while b - a > 1:
+            mid = (a + b) // 2
+            if mod(math.ldexp(1.0, mid)) > 1.0:
+                a = mid
+            else:
+                b = mid
+    return math.ldexp(1.0, a), math.ldexp(1.0, b)

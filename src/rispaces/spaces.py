@@ -27,8 +27,8 @@ from . import weights as _weights
 from .stepfn import (
     StepFunction,
     indicator,
-    linf_norm,
     lp_norm,
+    lp_norm_rows,
     partial_integral,
     rearrange,
 )
@@ -47,6 +47,7 @@ __all__ = [
     "catalog",
     "parse_space",
     "ri_norm",
+    "ri_norm_max",
     "fundamental_function",
     "envelope_weight",
     "hinge_family_bound",
@@ -64,7 +65,7 @@ class SpaceSpec:
     name: str
     phi: Optional[_orlicz.OrliczFunction] = None
     weight: Optional[_weights.ConcaveWeight] = None
-    p: Optional[float] = None
+    p: Optional[float] = None  # the exponent of "lp", inf for "linf"
 
     def __repr__(self) -> str:
         return f"SpaceSpec({self.name})"
@@ -89,7 +90,7 @@ def lp_space(p: float) -> SpaceSpec:
 
 
 def linf_space() -> SpaceSpec:
-    return SpaceSpec("linf", "Linf")
+    return SpaceSpec("linf", "Linf", p=math.inf)
 
 
 @lru_cache(maxsize=None)
@@ -146,11 +147,23 @@ def ri_norm(f: StepFunction, E: SpaceSpec) -> float:
         return _weights.lorentz_norm(f, E.weight)
     if E.kind == "marcinkiewicz":
         return _weights.marcinkiewicz_norm(f, E.weight)
-    if E.kind == "lp":
+    if E.kind in ("lp", "linf"):
         return lp_norm(f, E.p)
-    if E.kind == "linf":
-        return linf_norm(f)
     raise SpaceError(f"unhandled space kind {E.kind!r}")
+
+
+def ri_norm_max(breaks: np.ndarray, S: np.ndarray, E: SpaceSpec):
+    """(index, norm) of the row of S of largest E-norm, each row the values of
+    a step function on `breaks`; ties go to the lowest index."""
+    lengths = np.diff(breaks)
+    if E.kind == "orlicz":
+        return _orlicz.luxemburg_norm_max(S, lengths, E.phi)
+    if E.kind in ("lp", "linf"):
+        norms = lp_norm_rows(S, lengths, E.p)
+    else:
+        norms = [ri_norm(StepFunction(breaks, row), E) for row in S]
+    i = int(np.argmax(norms))
+    return i, float(norms[i])
 
 
 def _closed_form_fundamental(E: SpaceSpec, t: np.ndarray):
@@ -161,10 +174,8 @@ def _closed_form_fundamental(E: SpaceSpec, t: np.ndarray):
         # s/phi(s) is non-decreasing for concave phi, so the sup sits at s=t;
         # the generic sup raises WeightError for a non-concave phi
         return t / E.weight(t)
-    if E.kind == "lp":
+    if E.kind in ("lp", "linf"):
         return t ** (1.0 / E.p)
-    if E.kind == "linf":
-        return np.ones_like(t)
     if E.kind == "orlicz" and E.phi.descriptor == "exp2":
         return 1.0 / np.sqrt(np.log1p(1.0 / t))
     return None

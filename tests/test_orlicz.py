@@ -143,26 +143,6 @@ class TestLuxemburgNorm:
                 )
 
 
-class TestLuxemburgRows:
-    def test_matches_scalar_path(self, rng):
-        phi = ol.exp_square()
-        lengths = np.diff(np.concatenate(([0.0], np.sort(rng.uniform(0, 1, 5)), [1.0])))
-        V = rng.uniform(-4.0, 4.0, size=(8, 6))
-        got = ol.luxemburg_norm_rows(V, lengths, phi)
-        breaks = np.concatenate(([0.0], np.cumsum(lengths)))
-        breaks[-1] = 1.0
-        for row, g in zip(V, got):
-            want = ol.luxemburg_norm(sf.StepFunction(breaks, row), phi)
-            assert g == pytest.approx(want, rel=1e-11, abs=1e-14)
-
-    def test_zero_rows(self):
-        got = ol.luxemburg_norm_rows(
-            np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.5, 0.5]), ol.power(2.0)
-        )
-        assert got[0] == 0.0
-        assert got[1] == pytest.approx(1.0, rel=1e-11)
-
-
 MAX_PHIS = ("exp2", "power:1", "power:2", "power:3.5", "hinge:1")
 
 
@@ -251,9 +231,9 @@ class TestTinyNorms:
             want = self.CLOSED[desc](t)
             f = sf.indicator(t)
             scalar = ol.luxemburg_norm(f, phi)
-            rows = ol.luxemburg_norm_rows(np.array([[1.0, 0.0]]), f.lengths, phi)[0]
+            i, rows = ol.luxemburg_norm_max(np.array([[1.0, 0.0]]), f.lengths, phi)
             assert scalar == pytest.approx(want, rel=1e-12)
-            assert rows == pytest.approx(want, rel=1e-12)
+            assert i == 0 and rows == pytest.approx(want, rel=1e-12)
             assert ol.modular(f, phi, scalar) <= 1.0
 
     @pytest.mark.parametrize("desc", ["power:3", "hinge:2"])
@@ -261,7 +241,7 @@ class TestTinyNorms:
         phi = ol.parse_orlicz(desc)
         tiny = 5e-324
         assert ol.luxemburg_norm(sf.constant(tiny), phi) == tiny
-        assert ol.luxemburg_norm_rows(np.array([[tiny]]), np.array([1.0]), phi)[0] == tiny
+        assert ol.luxemburg_norm_max(np.array([[tiny]]), np.array([1.0]), phi) == (0, tiny)
 
     def test_degenerate_phi_still_rejected(self):
         # exp2 is capped at exp(700), so its modular stays below 1 on tiny sets
@@ -270,4 +250,4 @@ class TestTinyNorms:
         with pytest.raises(ol.OrliczError, match="never exceeds 1"):
             ol.luxemburg_norm(f, phi)
         with pytest.raises(ol.OrliczError, match="never exceeds 1"):
-            ol.luxemburg_norm_rows(np.array([[1.0, 0.0]]), f.lengths, phi)
+            ol.luxemburg_norm_max(np.array([[1.0, 0.0]]), f.lengths, phi)

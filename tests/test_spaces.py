@@ -38,6 +38,15 @@ class TestParseAndDispatch:
             2.0 / math.sqrt(math.log(4.0 * math.e**2)), rel=1e-14
         )
 
+    @pytest.mark.parametrize("desc", ["G", "G1", "MG", "L1", "Linf"])
+    def test_norm_max_ties_go_to_the_first_row(self, desc):
+        E = sp.parse_space(desc)
+        breaks = np.array([0.0, 0.5, 1.0])
+        S = np.array([[0.0, 0.0], [0.0, 2.0], [2.0, 0.0], [-2.0, 0.0]])
+        i, norm = sp.ri_norm_max(breaks, S, E)
+        assert i == 1
+        assert norm == sp.ri_norm(sf.StepFunction(breaks, S[1]), E)
+
     def test_constant_in_lp(self):
         for p in (1.0, 2.0, 5.0):
             assert sp.ri_norm(sf.constant(-3.0), sp.lp_space(p)) == pytest.approx(
