@@ -876,6 +876,7 @@ def fundamental_report(
         worst_m = 0.0
         worst_oracle = 0.0
         worst_prod = 0.0
+        oracle_w = w(oracle_base)
         for t in ts:
             f = indicator(float(t))
             lor = _weights.lorentz_norm(f, w)
@@ -884,8 +885,8 @@ def fundamental_report(
             marc = _weights.marcinkiewicz_norm(f, w)
             closed = float(t / w(np.array([t]))[0])
             worst_m = max(worst_m, float(abs(marc - closed) / closed))
-            s = np.append(oracle_base, t)
-            oracle = float(np.max(np.minimum(s, t) / w(s)))
+            # sup of min(s, t) / w(s) over the grid and the point s = t
+            oracle = max(float(np.max(np.minimum(oracle_base, t) / oracle_w)), closed)
             worst_oracle = max(worst_oracle, float(abs(marc - oracle) / oracle))
             worst_prod = max(worst_prod, float(abs(lor * marc - t) / t))
         row_ok = lor_exact and worst_m <= EQ_RTOL and worst_oracle <= EQ_RTOL and worst_prod <= EQ_RTOL

@@ -1,8 +1,12 @@
 """Orlicz functions, the convex modular, and the Luxemburg norm.
 
-The Luxemburg norm of f is inf{lam > 0 : integral Phi(f/lam) <= 1}, computed
-by bracketing and bisection on the modular, which is continuous and
-non-increasing in lam for step functions and finite-valued Phi.
+The Luxemburg norm of f is inf{lam > 0 : integral Phi(f/lam) <= 1}. The
+modular is continuous and non-increasing in lam for step functions and
+finite-valued Phi, so the norm is bracketed by doubling or halving, and the
+bracket is closed to 1e-12 relative. Where Phi comes with its derivative
+(every catalog Phi), Newton's method in mu = 1/lam closes it, in which the
+modular M(mu) = sum_i l_i Phi(mu |v_i|) is convex and increasing; bisection
+finishes the job and stands in wherever Newton cannot run.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,11 +51,17 @@ class OrliczFunction:
     """Convex, even, non-decreasing evaluator with Phi(0) = 0.
 
     `fn` must accept numpy arrays. The descriptor string round-trips through
-    the CLI (`exp2`, `power:p`, `hinge:a`, `custom`).
+    the CLI (`exp2`, `power:p`, `hinge:a`, `custom`). The optional `dphi`
+    lets the Luxemburg norm use Newton's method; it only proposes points, so
+    an inexact one costs evaluations, not accuracy.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     descriptor: str = "custom"
+    # dphi(s, y) is the derivative Phi'(s) given y = Phi(s); it may overwrite y
+    dphi: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
+        default=None, repr=False
+    )
 
     def __post_init__(self):
         _validate(self.fn, self.descriptor)
@@ -84,15 +94,32 @@ def _validate(fn, descriptor: str, tol: float = 1e-9) -> None:
         raise OrliczError(f"{descriptor}: midpoint convexity fails")
 
 
+def _exp2_dphi(s, y):
+    # 2 s exp(s^2) = 2 s (Phi + 1), in place on y
+    y += 1.0
+    y *= s
+    y *= 2.0
+    return y
+
+
 def exp_square() -> OrliczFunction:
     """Phi(s) = exp(s^2) - 1, the generator of the space G."""
-    return OrliczFunction(lambda s: np.expm1(np.minimum(s * s, 700.0)), "exp2")
+    return OrliczFunction(
+        lambda s: np.expm1(np.minimum(s * s, 700.0)), "exp2", _exp2_dphi
+    )
 
 
 def power(p: float) -> OrliczFunction:
     if p < 1.0:
         raise OrliczError(f"power exponent must be >= 1, got {p}")
-    return OrliczFunction(lambda s: np.abs(s) ** p, f"power:{p:g}")
+
+    def dphi(s, y):
+        # p sign(s) |s|^(p-1) = p |s|^p / s, in place on y (Phi'(0) taken as 0)
+        np.divide(y, s, out=y, where=s != 0.0)
+        y *= p
+        return y
+
+    return OrliczFunction(lambda s: np.abs(s) ** p, f"power:{p:g}", dphi)
 
 
 def hinge(a: float) -> OrliczFunction:
@@ -100,7 +127,11 @@ def hinge(a: float) -> OrliczFunction:
     integral of the rearrangement up to t = 1/a."""
     if a < 0.0:
         raise OrliczError(f"hinge offset must be >= 0, got {a}")
-    return OrliczFunction(lambda s: np.maximum(np.abs(s) - a, 0.0), f"hinge:{a:g}")
+    return OrliczFunction(
+        lambda s: np.maximum(np.abs(s) - a, 0.0),
+        f"hinge:{a:g}",
+        lambda s, y: np.copysign(y > 0.0, s, out=y),  # sign(s) 1{|s| > a}
+    )
 
 
 def custom_orlicz(fn: Callable[[np.ndarray], np.ndarray], name: str = "custom") -> OrliczFunction:
@@ -128,16 +159,35 @@ def modular(f: StepFunction, phi: OrliczFunction, lam: float) -> float:
     return float(np.dot(phi(f.values / lam), f.lengths))
 
 
+def _modular_slope(f: StepFunction, phi: OrliczFunction, lam: float):
+    """modular(f, phi, lam), by the same arithmetic, and its slope for Newton."""
+    s = f.values / lam
+    y = phi(s)
+    return float(np.dot(y, f.lengths)), _slope(phi, s, y, f.lengths)
+
+
+def _slope(phi: OrliczFunction, s: np.ndarray, y: np.ndarray, lengths: np.ndarray) -> float:
+    """sum_i l_i s_i Phi'(s_i) for s = v/lam and y = Phi(s), which is mu times
+    dM/dmu at mu = 1/lam; y is overwritten. Overflow gives inf or nan, which
+    the solver reads as "no Newton step"."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = phi.dphi(s, y)
+        d *= s
+        return float(np.dot(d, lengths))
+
+
 def luxemburg_norm(f: StepFunction, phi: OrliczFunction) -> float:
-    """inf{lam : modular(f, phi, lam) <= 1} by bracketing and bisection.
+    """inf{lam : modular(f, phi, lam) <= 1} by bracketing, then Newton's method
+    in mu = 1/lam (when phi has a `dphi`) and bisection.
 
     The returned lam satisfies modular(lam) <= 1, and modular(lam * (1-1e-9))
-    exceeds 1 unless bisection converged onto a flat stretch below 1e-12
+    exceeds 1 unless the bracket closed onto a flat stretch below 1e-12
     relative width.
     """
     if f.is_zero():
         return 0.0
-    return _find_root(functools.partial(modular, f, phi), linf_norm(f))
+    newton = None if phi.dphi is None else functools.partial(_modular_slope, f, phi)
+    return _find_root(functools.partial(modular, f, phi), linf_norm(f), newton)
 
 
 def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunction):
@@ -145,11 +195,12 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
     sharing one partition: `values` has one function per row, `lengths` are
     the shared interval lengths.
 
-    One root find of lam -> max_i M_i(lam), M_i the modular of row i. At a lam
+    One root find of lam -> max_i M_i(lam), M_i the modular of row i; its
+    Newton slope is that of the row with the largest modular. At a lam
     where the maximum exceeds 1, a row whose modular is <= 1 has norm <= lam,
     below the largest norm, so it is dropped for good; the rows that survive
-    all have norms within the bisection tolerance of the largest one, and the
-    first of them is returned (ties go to the lowest index). An all-zero
+    all have norms within the root finder's tolerance of the largest one, and
+    the first of them is returned (ties go to the lowest index). An all-zero
     input gives (0, 0.0).
     """
     A = np.abs(np.asarray(values, dtype=np.float64))
@@ -161,33 +212,49 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
     live = np.flatnonzero(sup > 0.0)  # rows that may still hold the largest norm
     rows = A[live]
 
-    def max_modular(lam):
+    def max_modular(lam, slope=False):
         nonlocal live, rows
-        m = phi(rows / lam) @ lengths
-        largest = m.max()
+        S = rows / lam
+        Y = phi(S)
+        m = Y @ lengths
+        i = int(m.argmax())
+        largest = m[i]
         if largest > 1.0:
             keep = m > 1.0
             if not keep.all():
                 live, rows = live[keep], rows[keep]
+        if slope:
+            return largest, _slope(phi, S[i], Y[i], lengths)
         return largest
 
-    norm = _find_root(max_modular, top)
+    newton = None if phi.dphi is None else functools.partial(max_modular, slope=True)
+    norm = _find_root(max_modular, top, newton)
     return int(live[0]), norm
 
 
-def _find_root(mod, lam: float) -> float:
+def _find_root(mod, lam: float, newton=None) -> float:
     """Least lam, to BISECT_RTOL relative, with mod(lam) <= 1, for a
     non-increasing modular `mod`.
 
     Brackets from the first guess `lam` by doubling or halving, falls back to
     a bisection on the binary exponent when 2^-MAX_BISECT_ITER * lam is still
-    below the root, then bisects. Returns the upper end of the bracket.
+    below the root, then closes the bracket: by Newton's method in mu = 1/lam
+    when `newton(lam)` gives (mod(lam), its slope) (see `_newton`), and by
+    bisection. Returns the upper end of the bracket.
     """
-    if mod(lam) > 1.0:
+    tangents = {}  # lam -> (mod(lam), slope) at the bracket's points
+
+    def bracket_mod(x):
+        if newton is None:
+            return mod(x)
+        m, d = tangents[x] = newton(x)
+        return m
+
+    if bracket_mod(lam) > 1.0:
         lo = lam
         hi = 2.0 * lam
         for _ in range(MAX_BISECT_ITER):
-            if mod(hi) <= 1.0:
+            if bracket_mod(hi) <= 1.0:
                 break
             lo, hi = hi, 2.0 * hi
         else:  # pragma: no cover - admissible Phi cannot get here
@@ -198,11 +265,14 @@ def _find_root(mod, lam: float) -> float:
         for _ in range(MAX_BISECT_ITER):
             if lo == 0.0:
                 return hi  # halving underflowed: hi is the least positive double
-            if mod(lo) > 1.0:
+            if bracket_mod(lo) > 1.0:
                 break
             hi, lo = lo, lo / 2.0
         else:  # the root is below 2^-MAX_BISECT_ITER * lam
-            lo, hi = _exponent_bracket(mod, hi)
+            lo, hi = _exponent_bracket(bracket_mod, hi)
+    if newton is not None:
+        starts = [(x, *tangents[x]) for x in (hi, lo) if x in tangents]
+        lo, hi = _newton(mod, newton, lo, hi, starts)
     for _ in range(MAX_BISECT_ITER):
         if hi - lo <= BISECT_RTOL * hi:
             break
@@ -212,6 +282,110 @@ def _find_root(mod, lam: float) -> float:
         else:
             lo = mid
     return hi
+
+
+# Newton's points are trusted only after the modular has been evaluated
+# there; a converged step is checked at (1 +- _PROBE) times its point.
+_NEWTON_RTOL = 1e-13
+_PROBE = 4e-13
+# evaluations Newton may spend beyond those of the bisection it replaces
+_NEWTON_SLACK = 4
+
+
+def _bisections(lo: float, hi: float) -> int:
+    """Most evaluations the closing bisection of `_find_root` takes on
+    [lo, hi]: each halves the width, and it stops at a width <= BISECT_RTOL *
+    hi, where hi >= lo."""
+    if hi - lo <= BISECT_RTOL * hi:  # the loop's own test
+        return 0
+    return math.ceil(math.log2(hi - lo) - math.log2(lo) - math.log2(BISECT_RTOL))
+
+
+def _tangent_root(x: float, m: float, d: float) -> float:
+    """The lam where the tangent of M(mu) at mu = 1/x meets 1, from M = m and
+    d = mu dM/dmu; nan where there is none. For convex M it is at most the
+    norm, from either side."""
+    den = d - (m - 1.0)  # mu' = mu - (m - 1) / (dM/dmu), so lam' = x d / den
+    if math.isfinite(m) and math.isfinite(d) and den > 0.0:
+        return x * (d / den)
+    return math.nan
+
+
+def _newton(mod, newton, lo: float, hi: float, starts):
+    """Shrink the bracket [lo, hi] by safeguarded Newton steps in mu = 1/lam.
+
+    M(mu) is convex and increasing, so the tangent at any point meets 1 at
+    a lam below the norm. Newton starts from the higher of the tangent
+    roots of `starts`, (lam, M, slope) at lo and hi, and the points rise
+    to the norm quadratically. A point only proposes: it moves lo or hi
+    after `newton` (the same modular as `mod`) is evaluated there. Once the
+    next step is predicted below _NEWTON_RTOL, the points (1 +- _PROBE)
+    times the proposal are evaluated with `mod`, closing the bracket. The
+    upper one becomes hi even where an evaluated point at the norm itself
+    was lower, so that the returned lam is about _PROBE above the norm: no
+    summation order reads its modular above 1, and it lies within 6e-13 of
+    what bisection returns.
+
+    The safeguard: a proposal outside (lo, hi), or a non-finite modular or
+    slope, ends Newton. Newton evaluates only while the bisection that
+    closes what is left still fits in `_bisections` of the starting bracket
+    plus _NEWTON_SLACK evaluations. The bracket's ends differ by a factor 2,
+    so bisection alone needs at least `_bisections` - 1 of them: Newton and
+    the bisection after it cost at most 5 evaluations more, whatever `dphi`
+    returns. When the next point would leave no room for the probes, the
+    point one step above the proposal is evaluated first: on Newton's
+    course it bounds the norm from above and shrinks hi.
+    """
+    budget = _bisections(lo, hi) + _NEWTON_SLACK
+    used = 0
+
+    def room(n):  # n more evaluations and the bisection after them fit the budget
+        return used + n + _bisections(lo, hi) <= budget
+
+    def probe(p):  # evaluate the modular at p, which becomes lo or hi
+        nonlocal used, lo, hi
+        used += 1
+        if mod(p) <= 1.0:
+            hi = p
+        else:
+            lo = p
+
+    g = x = math.nan
+    for t in starts:  # hi first, so that a tie goes to the nearer point
+        r = _tangent_root(*t)
+        if math.isnan(g) or r > g:
+            g, x = r, t[0]
+    prev = 0.0  # the previous step, none yet
+    while math.isfinite(g):
+        step = abs(g - x)
+        # quadratic convergence: the next step is about step (step / prev)^2
+        if step <= _NEWTON_RTOL * g or (
+            step < prev and step * (step / prev) ** 2 <= _NEWTON_RTOL * g
+        ):
+            up, down = g * (1.0 + _PROBE), g * (1.0 - _PROBE)
+            if lo < up and room(1):  # even above hi: see the docstring
+                probe(up)
+            if lo < down < hi and room(1):
+                probe(down)
+            break
+        if not lo < g < hi:
+            break
+        u = g + step  # above the norm, once Newton converges
+        if not room(2) and room(1) and x < g and u < hi:
+            probe(u)
+            if lo == u:
+                break  # Newton is far off: bisect
+        if not room(1):
+            break
+        x, prev = g, step
+        m, d = newton(x)
+        used += 1
+        if m <= 1.0:
+            hi = x
+        else:
+            lo = x
+        g = _tangent_root(x, m, d)
+    return lo, hi
 
 
 def _exponent_bracket(mod, hi: float):

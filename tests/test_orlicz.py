@@ -1,8 +1,10 @@
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import step_functions
@@ -10,6 +12,7 @@ from rispaces import experiments as ex
 from rispaces import orlicz as ol
 from rispaces import spaces as sp
 from rispaces import stepfn as sf
+from rispaces.rademacher import sum_rearrangement
 
 
 class TestOrliczFunctions:
@@ -156,6 +159,10 @@ class TestLuxemburgNormMax:
     @pytest.mark.parametrize("desc", MAX_PHIS)
     @given(xs=st.lists(step_functions(max_pieces=4), min_size=1, max_size=8))
     @settings(max_examples=30, deadline=None)
+    # one Newton step is exact here (power:1, hinge:1), so rows are pruned
+    # only if that step's point is evaluated
+    @example(xs=[sf.constant(0.25), sf.constant(-1.0)])
+    @example(xs=[sf.constant(4.0), sf.constant(-1.0)])
     def test_matches_largest_scalar_norm(self, desc, xs):
         phi = ol.parse_orlicz(desc)
         breaks, dl, X = ex._refinement_matrix(xs)
@@ -251,3 +258,173 @@ class TestTinyNorms:
             ol.luxemburg_norm(f, phi)
         with pytest.raises(ol.OrliczError, match="never exceeds 1"):
             ol.luxemburg_norm_max(np.array([[1.0, 0.0]]), f.lengths, phi)
+
+
+def _counting(phi, dphi):
+    """(Phi, calls): `phi` with a count of its evaluations in calls[0], and
+    `dphi` as its derivative (None: a custom Phi)."""
+    calls = [0]
+
+    def fn(s):
+        calls[0] += 1
+        return phi.fn(s)
+
+    counted = ol.OrliczFunction(fn, phi.descriptor, dphi)
+    calls[0] = 0  # not the validation's evaluations
+    return counted, calls
+
+
+def _bisection_norm(f, phi):
+    """The Luxemburg norm by doubling or halving from ||f||_inf and bisection
+    to BISECT_RTOL, without Newton (for norms above 2^-200 ||f||_inf)."""
+    mod = functools.partial(ol.modular, f, phi)
+    lam = sf.linf_norm(f)
+    if mod(lam) > 1.0:
+        lo, hi = lam, 2.0 * lam
+        while not mod(hi) <= 1.0:
+            lo, hi = hi, 2.0 * hi
+    else:
+        hi, lo = lam, lam / 2.0
+        while not mod(lo) > 1.0:
+            hi, lo = lo, lo / 2.0
+    while hi - lo > ol.BISECT_RTOL * hi:
+        mid = 0.5 * (lo + hi)
+        if mod(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@functools.lru_cache(maxsize=1)
+def _newton_inputs():
+    """A fixed set of 300 random step functions and 28 Rademacher-sum
+    rearrangements (equal and random unit coefficients, n = 1..14)."""
+    rng = np.random.default_rng(20261018)
+    fs = [ex.random_step_function(rng) for _ in range(300)]
+    for n in range(1, 15):
+        a = rng.normal(size=n)
+        fs += [sum_rearrangement([1.0] * n), sum_rearrangement(a / np.linalg.norm(a))]
+    return tuple(fs)
+
+
+@functools.lru_cache(maxsize=None)
+def _bisection_results(desc):
+    """(norms, Phi evaluations per norm) of `_bisection_norm` on the fixed set."""
+    phi, calls = _counting(ol.parse_orlicz(desc), None)
+    norms, counts = [], []
+    for f in _newton_inputs():
+        calls[0] = 0
+        norms.append(_bisection_norm(f, phi))
+        counts.append(calls[0])
+    return tuple(norms), tuple(counts)
+
+
+def _scaled(desc, c):
+    dphi = ol.parse_orlicz(desc).dphi
+    return lambda s, y: dphi(s, y) * c
+
+
+class TestNewtonSolver:
+    """Newton in mu = 1/lam against plain bisection, counted in evaluations of
+    Phi, which do not depend on the host."""
+
+    @pytest.mark.parametrize("desc", MAX_PHIS)
+    def test_custom_phi_is_plain_bisection(self, desc):
+        phi, calls = _counting(ol.parse_orlicz(desc), None)
+        want_norms, want_counts = _bisection_results(desc)
+        for f, want, count in zip(_newton_inputs(), want_norms, want_counts):
+            calls[0] = 0
+            assert ol.luxemburg_norm(f, phi) == want
+            assert calls[0] == count
+
+    @pytest.mark.parametrize("scale", [None, 3.0, 0.2])
+    @pytest.mark.parametrize("desc", MAX_PHIS)
+    def test_contract_and_evaluations(self, desc, scale):
+        # scale: the catalog dphi, or one that is deliberately wrong by a factor
+        base = ol.parse_orlicz(desc)
+        phi, calls = _counting(base, base.dphi if scale is None else _scaled(desc, scale))
+        want_norms, want_counts = _bisection_results(desc)
+        counts = []
+        for f, want, count in zip(_newton_inputs(), want_norms, want_counts):
+            calls[0] = 0
+            norm = ol.luxemburg_norm(f, phi)
+            counts.append(calls[0])
+            assert abs(norm - want) <= 1e-12 * want
+            assert ol.modular(f, base, norm) <= 1.0
+            # Newton never costs more than 5 evaluations over bisection
+            assert calls[0] <= count + 5
+        if scale is None:
+            assert np.mean(counts) < np.mean(want_counts) / 2
+            if desc == "exp2":
+                assert np.mean(counts) <= 15.0
+
+    @pytest.mark.parametrize("scale", [3.0, 0.2])
+    @pytest.mark.parametrize("desc", MAX_PHIS)
+    def test_wrong_dphi_in_norm_max(self, desc, scale):
+        base = ol.parse_orlicz(desc)
+        wrong = ol.OrliczFunction(base.fn, desc, _scaled(desc, scale))
+        bisect = ol.OrliczFunction(base.fn, desc)
+        rng = np.random.default_rng(99)
+        for _ in range(20):
+            xs = [ex.random_step_function(rng, max_plateaus=4) for _ in range(4)]
+            breaks, dl, X = ex._refinement_matrix(xs)
+            S = ex._all_signs(len(xs)) @ X
+            i, norm = ol.luxemburg_norm_max(S, dl, wrong)
+            _, want = ol.luxemburg_norm_max(S, dl, bisect)
+            assert abs(norm - want) <= 1e-12 * want
+            assert (base(S / norm) @ dl).max() <= 1.0
+            assert _close(_bisection_norm(sf.StepFunction(breaks, S[i]), base), want)
+
+
+def _hinge_norm_exact(f, a):
+    """inf{lam : sum_i l_i (|v_i|/lam - a)^+ <= 1} in exact rationals: with the
+    k largest |v_i| active, mu = 1/lam solves a linear equation."""
+    a = Fraction(a)
+    pieces = sorted(
+        ((Fraction(abs(float(v))), Fraction(float(l))) for v, l in zip(f.values, f.lengths)),
+        reverse=True,
+    )
+    mass = level = Fraction(0)
+    for k, (v, l) in enumerate(pieces):
+        mass += l * v
+        level += l
+        mu = (1 + a * level) / mass
+        below = pieces[k + 1][0] if k + 1 < len(pieces) else Fraction(0)
+        if below * mu <= a:
+            return 1 / mu
+    raise AssertionError("no active set solves the hinge equation")
+
+
+class TestExactOracles:
+    """Norms within 1e-12 of exact values, for parameters that the descriptor
+    (6 digits) does not round-trip: the solver must use Phi's own parameter."""
+
+    @staticmethod
+    def _both(f, phi):
+        scalar = ol.luxemburg_norm(f, phi)
+        i, row = ol.luxemburg_norm_max(np.array([f.values]), f.lengths, phi)
+        assert i == 0
+        return scalar, row
+
+    def test_hinge_of_reciprocal(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            t = float(rng.uniform(0.01, 1.0))
+            f = ex.random_step_function(rng)
+            phi = ol.hinge(1.0 / t)
+            want = _hinge_norm_exact(f, 1.0 / t)
+            for got in self._both(f, phi):
+                assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
+
+    # a modular rebuilt from the descriptor errs in both directions here:
+    # 'power:1.33333' has a smaller p, 'power:1.66667' a larger one
+    @pytest.mark.parametrize("p", [4.0 / 3.0, 5.0 / 3.0, 3.5])
+    def test_power(self, p):
+        rng = np.random.default_rng(32)
+        phi = ol.power(p)
+        for _ in range(100):
+            f = ex.random_step_function(rng)
+            want = math.fsum(np.abs(f.values) ** p * f.lengths) ** (1.0 / p)
+            for got in self._both(f, phi):
+                assert got == pytest.approx(want, rel=1e-12)
