@@ -178,15 +178,21 @@ def _text_cell(v) -> str:
 # --- instance generators ------------------------------------------------------
 
 
+def _random_breaks(rng, max_plateaus: int) -> np.ndarray:
+    """Breakpoints of a random step function: a plateau count in
+    [1, max_plateaus], then sorted uniform inner points."""
+    k = int(rng.integers(1, max_plateaus + 1))
+    inner = np.unique(rng.uniform(0.0, 1.0, size=k - 1))
+    inner = inner[(inner > 0.0) & (inner < 1.0)]
+    return np.concatenate(([0.0], inner, [1.0]))
+
+
 def random_step_function(
     rng, max_plateaus: int = 10, spike_prob: float = 0.1, spike_scale: float = 10.0
 ) -> StepFunction:
     """Random plateau count in [1, max_plateaus], sorted-uniform breakpoints,
     symmetric values with occasional large spikes to stress exponential tails."""
-    k = int(rng.integers(1, max_plateaus + 1))
-    inner = np.unique(rng.uniform(0.0, 1.0, size=k - 1))
-    inner = inner[(inner > 0.0) & (inner < 1.0)]
-    breaks = np.concatenate(([0.0], inner, [1.0]))
+    breaks = _random_breaks(rng, max_plateaus)
     vals = rng.uniform(-1.0, 1.0, size=len(breaks) - 1)
     spikes = rng.random(len(vals)) < spike_prob
     vals[spikes] *= spike_scale
@@ -195,10 +201,7 @@ def random_step_function(
 
 def random_indicator_function(rng, max_plateaus: int = 10) -> StepFunction:
     """Random 0/1-valued step function with at least one plateau of ones."""
-    k = int(rng.integers(1, max_plateaus + 1))
-    inner = np.unique(rng.uniform(0.0, 1.0, size=k - 1))
-    inner = inner[(inner > 0.0) & (inner < 1.0)]
-    breaks = np.concatenate(([0.0], inner, [1.0]))
+    breaks = _random_breaks(rng, max_plateaus)
     vals = rng.integers(0, 2, size=len(breaks) - 1).astype(float)
     if not np.any(vals == 1.0):
         vals[int(rng.integers(0, len(vals)))] = 1.0
@@ -227,20 +230,22 @@ def _all_signs(n: int) -> np.ndarray:
 
 
 def _half_sign_sums(xs):
-    """(breaks, lengths, signs, S): the common refinement of the x_i and the
-    sums sum_i eps_i x_i on it, one row of S per row of `signs`.
+    """(breaks, lengths, X, signs, S): the common refinement of the x_i, their
+    values on it (one function per row of X) and the sums sum_i eps_i x_i,
+    one row of S per row of `signs`.
 
     `signs` holds only the 2^(n-1) sign vectors with eps_1 = +1, in
     lexicographic order (+1 before -1): the others give the exact negations,
     and every norm and every Phi here is even, so a maximum or an average
-    over these rows is one over all 2^n.
+    over these rows is one over all 2^n. The completions of a sign prefix
+    are one contiguous block of rows.
     """
     n = len(xs)
     if not 1 <= n <= MAX_SIGN_N:
         raise ExperimentError(f"need 1 <= n <= {MAX_SIGN_N} functions, got {n}")
     breaks, dl, X = _refinement_matrix(xs)
     signs = np.hstack([np.ones((1 << (n - 1), 1)), _all_signs(n - 1)])
-    return breaks, dl, signs, signs @ X
+    return breaks, dl, X, signs, signs @ X
 
 
 def sign_bruteforce(xs, E: SpaceSpec):
@@ -249,29 +254,9 @@ def sign_bruteforce(xs, E: SpaceSpec):
     Ties break lexicographically with +1 before -1, so eps_1 = +1. Returns
     (signs, best).
     """
-    breaks, _, signs, S = _half_sign_sums(xs)
+    breaks, _, _, signs, S = _half_sign_sums(xs)
     i, best = ri_norm_max(breaks, S, E)
     return tuple(int(s) for s in signs[i]), best
-
-
-_CHUNK_BITS = 16
-
-
-def _avg_modular(base, rest, dl, phi, lam):
-    """Exact average of the modular over all sign completions of `rest`."""
-    r = len(rest)
-    if r == 0:
-        return float(np.dot(phi(base / lam), dl))
-    total = 0.0
-    n_rows = 1 << r
-    chunk = min(n_rows, 1 << _CHUNK_BITS)
-    shifts = np.arange(r - 1, -1, -1)
-    for start in range(0, n_rows, chunk):
-        idx = np.arange(start, start + chunk)
-        signs = 1.0 - 2.0 * ((idx[:, None] >> shifts) & 1)
-        V = base + signs @ rest
-        total += float(np.sum(phi(V / lam) @ dl))
-    return total / n_rows
 
 
 def derandomized_signs(xs, phi: _orlicz.OrliczFunction, lam: float):
@@ -279,37 +264,38 @@ def derandomized_signs(xs, phi: _orlicz.OrliczFunction, lam: float):
 
     eps_1 = +1, as in `sign_bruteforce`: Phi is even, so the completions of
     -x_1 are the negations of those of +x_1 and give the same average. The
-    other signs are fixed left to right, each keeping the choice whose exact
+    other signs are fixed left to right, each keeping the choice whose
     conditional average of the modular is larger (+1 on ties); by pigeonhole
     the returned signs achieve a modular >= the average over all 2^n vectors.
+    The averages are read from one table of the 2^(n-1) modulars, so the
+    memory is that of `sign_bruteforce` at the same n.
     """
     if lam <= 0.0:
         raise ExperimentError(f"lam must be positive, got {lam}")
-    n = len(xs)
-    if not 1 <= n <= MAX_SIGN_N:
-        raise ExperimentError(f"need 1 <= n <= {MAX_SIGN_N} functions, got {n}")
-    _, dl, X = _refinement_matrix(xs)
-    return _conditional_signs(X, dl, phi, lam)
+    _, dl, _, signs, S = _half_sign_sums(xs)
+    return tuple(int(s) for s in signs[_conditional_signs(phi(S / lam) @ dl)])
 
 
-def _conditional_signs(X, dl, phi, lam):
-    """`derandomized_signs` on the refinement matrix X (one function per row)."""
-    prefix = X[0]
-    chosen = [1]
-    for i in range(1, X.shape[0]):
-        rest = X[i + 1 :]
-        avg_plus = _avg_modular(prefix + X[i], rest, dl, phi, lam)
-        avg_minus = _avg_modular(prefix - X[i], rest, dl, phi, lam)
-        s = 1 if avg_plus >= avg_minus else -1
-        chosen.append(s)
-        prefix = prefix + s * X[i]
-    return tuple(chosen)
+def _conditional_signs(mods) -> int:
+    """Row of the `_half_sign_sums` table that `derandomized_signs` picks,
+    given the modular of every row.
+
+    The completions of a sign prefix are one block of rows, whose first half
+    has the next sign +1, so each conditional average is a block mean: every
+    step keeps the half with the larger mean (+1 on ties).
+    """
+    lo, size = 0, len(mods)
+    while size > 1:
+        size //= 2
+        if np.mean(mods[lo + size : lo + 2 * size]) > np.mean(mods[lo : lo + size]):
+            lo += size
+    return lo
 
 
 def _sign_instance(xs, phi: _orlicz.OrliczFunction) -> dict:
     """Quantities of the sign-selection inequality for one instance."""
     n = len(xs)
-    _, dl, _, S = _half_sign_sums(xs)
+    _, dl, _, _, S = _half_sign_sums(xs)
     _, best = _orlicz.luxemburg_norm_max(S, dl, phi)
     l1_norms = [l1_norm(x) for x in xs]
     rhs_fn = sum_rearrangement(l1_norms)
@@ -441,11 +427,9 @@ def theorem1_report(
 _SIGN_PHIS = ("power:1", "power:2", "exp2")
 
 
-def sign_selection_report(
-    trials: int = 1000, n_max: int = 10, seed: int = 42, max_plateaus: int = 10
-) -> ExperimentReport:
-    """Exhaustive verification of the sign-selection inequality on random
-    instances, cycling Phi over power:1, power:2, exp2."""
+def _sign_instances(trials, n_max, seed, max_plateaus):
+    """The seeded (xs, phi) instances of both sign suites: n uniform in
+    [1, n_max] random step functions, Phi cycling over `_SIGN_PHIS`."""
     _require(0, seed=seed)
     _require(1, trials=trials, n_max=n_max, max_plateaus=max_plateaus)
     if n_max > MAX_SIGN_N:
@@ -457,6 +441,15 @@ def sign_selection_report(
         n = int(rng.integers(1, n_max + 1))
         xs = [random_step_function(rng, max_plateaus) for _ in range(n)]
         instances.append((xs, phis[i % len(phis)]))
+    return instances
+
+
+def sign_selection_report(
+    trials: int = 1000, n_max: int = 10, seed: int = 42, max_plateaus: int = 10
+) -> ExperimentReport:
+    """Exhaustive verification of the sign-selection inequality on random
+    instances, cycling Phi over power:1, power:2, exp2."""
+    instances = _sign_instances(trials, n_max, seed, max_plateaus)
     rows = [_sign_instance(xs, phi) for xs, phi in instances]
     for i, row in enumerate(rows):
         row["case"] = i
@@ -487,29 +480,18 @@ def derandomization_report(
 ) -> ExperimentReport:
     """Greedy conditional-expectation signs versus the exact modular
     distribution over all sign vectors."""
-    _require(0, seed=seed)
-    _require(1, trials=trials, n_max=n_max, max_plateaus=max_plateaus)
-    if n_max > MAX_SIGN_N:
-        raise ExperimentError(f"n_max capped at {MAX_SIGN_N}, got {n_max}")
-    phis = [_orlicz.parse_orlicz(d) for d in _SIGN_PHIS]
-    rng = np.random.default_rng(seed)
-    instances = []
-    for i in range(trials):
-        n = int(rng.integers(1, n_max + 1))
-        xs = [random_step_function(rng, max_plateaus) for _ in range(n)]
-        instances.append((xs, phis[i % len(phis)]))
+    instances = _sign_instances(trials, n_max, seed, max_plateaus)
 
     def one(xs, phi):
         n = len(xs)
-        _, dl, X = _refinement_matrix(xs)
+        _, dl, X, _, S = _half_sign_sums(xs)
         # keep |values|/lam <= 1 so the exp-square modular stays tame
         lam = max(float(np.max(np.abs(X).sum(axis=0))), 1e-9)
-        signs = _conditional_signs(X, dl, phi, lam)
-        S = _all_signs(n) @ X
         mods = phi(S / lam) @ dl
-        greedy = float(np.dot(phi((np.asarray(signs) @ X) / lam), dl))
+        greedy = float(mods[_conditional_signs(mods)])
         avg = float(np.mean(mods))
-        q75 = float(np.quantile(mods, 0.75))
+        # the quantile over all 2^n vectors: each row stands for two
+        q75 = float(np.quantile(np.repeat(mods, 2), 0.75))
         ave_eta = _orlicz.modular(sum_rearrangement([l1_norm(x) for x in xs]), phi, lam)
         return {
             "n": n,
@@ -629,9 +611,9 @@ def g1_chain_check(
         return ri_norm(f, G) / denom if denom > 0 else 0.0
 
     c_c = max(g_ratio(f) for f in fs)
-    rng2 = np.random.default_rng(seed)
-    fs2 = [rearrange(random_step_function(rng2)) for _ in range(2 * trials)]
-    c_c2 = max(g_ratio(f) for f in fs2)
+    # the doubled sample: fs, then the next `trials` draws of the same stream
+    more = [rearrange(random_step_function(rng)) for _ in range(trials)]
+    c_c2 = max(c_c, max(g_ratio(f) for f in more))
     drift = abs(c_c2 - c_c) / c_c if c_c > 0 else 0.0
 
     rows = [

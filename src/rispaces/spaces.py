@@ -84,7 +84,7 @@ def marcinkiewicz_space(w: _weights.ConcaveWeight, name: str | None = None) -> S
 
 
 def lp_space(p: float) -> SpaceSpec:
-    if p < 1.0:
+    if not p >= 1.0:
         raise SpaceError(f"Lp needs p >= 1, got {p}")
     return SpaceSpec("lp", f"Lp:{p:g}", p=float(p))
 

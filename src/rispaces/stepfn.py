@@ -214,7 +214,7 @@ def l1_norm(f: StepFunction) -> float:
 
 
 def lp_norm(f: StepFunction, p: float) -> float:
-    if p < 1.0:
+    if not p >= 1.0:
         raise StepFunctionError(f"p must be >= 1, got {p}")
     if p == 1.0:
         return l1_norm(f)
@@ -227,7 +227,7 @@ def lp_norm(f: StepFunction, p: float) -> float:
 def lp_norm_rows(values: np.ndarray, lengths: np.ndarray, p: float) -> np.ndarray:
     """Lp norms of many step functions sharing one partition: `values` has one
     function per row, `lengths` are the shared interval lengths."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise StepFunctionError(f"p must be >= 1, got {p}")
     a = np.abs(np.asarray(values, dtype=np.float64))
     if math.isinf(p):

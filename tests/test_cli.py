@@ -49,6 +49,13 @@ class TestNorm:
     def test_bad_space_is_config_error(self, const1):
         assert cli.main(["norm", "--space", "Zp", "--input", const1]) == cli.EXIT_CONFIG_ERROR
 
+    def test_nan_exponent_is_config_error(self, const1, capsys):
+        assert cli.main(["norm", "--space", "Lp:nan", "--input", const1]) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("config error:")
+
     def test_non_concave_marcinkiewicz_weight_is_config_error(self, const1, capsys):
         # t / phi_L(t) for the Lorentz weight t*sqrt(log(e/t)) is convex near 1
         args = ["norm", "--space", "marcinkiewicz:envelope:lorentz:logG", "--input", const1]
@@ -132,6 +139,7 @@ DEGENERATE_FLAGS = [
     ("derandomize", ["--n", "0"]),
     ("theorem1", ["--nmax", "0"]),
     ("theorem1", ["--trials", "-1"]),
+    ("theorem1", ["--space", "Lp:nan"]),
     ("envelope", ["--trials", "0"]),
     ("luxemburg", ["--trials", "0"]),
     ("luxemburg", ["--grid", "0"]),

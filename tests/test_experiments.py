@@ -95,6 +95,15 @@ class TestSignBruteforce:
             assert ex.sign_bruteforce(xs, E) == (tuple(int(s) for s in signs[i]), norms[i])
 
 
+def _avg_modular_reference(base, rest, dl, phi, lam):
+    """Average modular over all sign completions of `rest`, summed from the
+    partial sum `base` (no shared table of sign sums)."""
+    r = len(rest)
+    idx = np.arange(1 << r)
+    signs = 1.0 - 2.0 * ((idx[:, None] >> np.arange(r - 1, -1, -1)) & 1)
+    return float(np.sum(phi((base + signs @ rest) / lam) @ dl)) / (1 << r)
+
+
 class TestDerandomization:
     def test_opposite_pair_maximizes(self):
         x = sf.constant(1.0)
@@ -137,6 +146,58 @@ class TestDerandomization:
     def test_rejects_nonpositive_lam(self):
         with pytest.raises(ex.ExperimentError):
             ex.derandomized_signs([sf.constant(1.0)], ol.power(2.0), 0.0)
+
+    @pytest.mark.parametrize("desc", ex._SIGN_PHIS)
+    def test_matches_partial_sum_reference(self, desc, rng):
+        # along the returned signs, every step whose two conditional averages
+        # differ by more than rounding must keep the larger one
+        phi = ol.parse_orlicz(desc)
+        decided = 0
+        for _ in range(30):
+            n = int(rng.integers(1, 9))
+            xs = [ex.random_step_function(rng, max_plateaus=5) for _ in range(n)]
+            _, dl, X = ex._refinement_matrix(xs)
+            lam = max(float(np.max(np.abs(X).sum(axis=0))), 1e-9)
+            signs = ex.derandomized_signs(xs, phi, lam)
+            assert len(signs) == n and signs[0] == 1
+            prefix = X[0]
+            for i in range(1, n):
+                plus = _avg_modular_reference(prefix + X[i], X[i + 1 :], dl, phi, lam)
+                minus = _avg_modular_reference(prefix - X[i], X[i + 1 :], dl, phi, lam)
+                if abs(plus - minus) > 1e-12 * max(plus, minus):
+                    assert signs[i] == (1 if plus > minus else -1)
+                    decided += 1
+                prefix = prefix + signs[i] * X[i]
+        assert decided > 50
+
+    def test_report_statistics_over_all_sign_vectors(self):
+        # n = 2: the half table has two rows, and its own 0.75-quantile is
+        # not the one over all four sign vectors
+        seed, trials = 3, 40
+        rep = ex.derandomization_report(trials=trials, n_max=2, seed=seed)
+        instances = ex._sign_instances(trials, 2, seed, 6)
+        checked = 0
+        for row, (xs, phi) in zip(rep.rows, instances):
+            if len(xs) != 2:
+                continue
+            _, dl, X = ex._refinement_matrix(xs)
+            mods = phi(ex._all_signs(2) @ X / row["lam"]) @ dl
+            assert row["q75_modular"] == pytest.approx(np.quantile(mods, 0.75), rel=1e-15)
+            assert row["avg_modular"] == pytest.approx(np.mean(mods), rel=1e-15)
+            checked += 1
+        assert checked >= 10
+
+    def test_report_evaluates_phi_twice_per_instance(self, monkeypatch):
+        calls = []
+        call = ol.OrliczFunction.__call__
+
+        def counted(self, s):
+            calls.append(1)
+            return call(self, s)
+
+        monkeypatch.setattr(ol.OrliczFunction, "__call__", counted)
+        ex.derandomization_report(trials=12, n_max=6, seed=5)
+        assert len(calls) == 2 * 12
 
 
 class TestSingleInequality:
