@@ -22,7 +22,7 @@ import numpy as np
 
 from . import orlicz as _orlicz
 from . import weights as _weights
-from .rademacher import sum_rearrangement, rademacher_sum_norm
+from .rademacher import MAX_ENUM_N, MAX_EQUAL_N, sum_rearrangement, rademacher_sum_norm
 from .spaces import (
     SpaceSpec,
     catalog,
@@ -73,6 +73,13 @@ MAX_SIGN_N = 20
 # headroom on every norm comparison
 INEQ_SLACK = 1e-9
 EQ_RTOL = 1e-8
+
+_SPIKE_PROB = 0.1  # random_step_function: the chance that a plateau is a spike
+_SPIKE_SCALE = 10.0  # and the spike's factor
+_EQUAL_WINDOW_MAX = 3.0  # theorem1's pass windows
+_STABILIZATION_MAX = 0.05
+_RANDOM_WINDOW_MAX = 4.0
+_T_MIN = 1e-6  # least t of the g1chain and fundamental indicator grids
 
 
 class ExperimentError(ValueError):
@@ -187,15 +194,13 @@ def _random_breaks(rng, max_plateaus: int) -> np.ndarray:
     return np.concatenate(([0.0], inner, [1.0]))
 
 
-def random_step_function(
-    rng, max_plateaus: int = 10, spike_prob: float = 0.1, spike_scale: float = 10.0
-) -> StepFunction:
+def random_step_function(rng, max_plateaus: int = 10) -> StepFunction:
     """Random plateau count in [1, max_plateaus], sorted-uniform breakpoints,
     symmetric values with occasional large spikes to stress exponential tails."""
     breaks = _random_breaks(rng, max_plateaus)
     vals = rng.uniform(-1.0, 1.0, size=len(breaks) - 1)
-    spikes = rng.random(len(vals)) < spike_prob
-    vals[spikes] *= spike_scale
+    spikes = rng.random(len(vals)) < _SPIKE_PROB
+    vals[spikes] *= _SPIKE_SCALE
     return StepFunction(breaks, vals)
 
 
@@ -351,18 +356,15 @@ def theorem1_report(
     trials: int = 200,
     seed: int = 42,
     random_n_max: int = 14,
-    equal_window_max: float = 3.0,
-    stabilization_max: float = 0.05,
-    random_window_max: float = 4.0,
 ) -> ExperimentReport:
     """Growth of ||sum_1^n r_i||_E / sqrt(n) and of coefficient sums against
     the Euclidean norm, with empirical constant windows."""
     _require(0, seed=seed, trials=trials, random_n_max=random_n_max)
     _require(1, n_max=n_max)
-    if n_max > 60:
-        raise ExperimentError(f"n_max capped at 60, got {n_max}")
-    if random_n_max > 24:
-        raise ExperimentError(f"random_n_max capped at 24, got {random_n_max}")
+    if n_max > MAX_EQUAL_N:
+        raise ExperimentError(f"n_max capped at {MAX_EQUAL_N}, got {n_max}")
+    if random_n_max > MAX_ENUM_N:
+        raise ExperimentError(f"random_n_max capped at {MAX_ENUM_N}, got {random_n_max}")
     rng = np.random.default_rng(seed)
     coeff_sets = {
         n: [_random_unit_vector(rng, n) for _ in range(trials)]
@@ -400,14 +402,14 @@ def theorem1_report(
         "stabilization": stab,
         "random_window_ratio": rnd_window if rnd else None,
         "pass": bool(
-            eq_hi / eq_lo <= equal_window_max
-            and stab <= stabilization_max
-            and (not rnd or rnd_window <= random_window_max)
+            eq_hi / eq_lo <= _EQUAL_WINDOW_MAX
+            and stab <= _STABILIZATION_MAX
+            and (not rnd or rnd_window <= _RANDOM_WINDOW_MAX)
         ),
         "tolerances": {
-            "equal_window_max": equal_window_max,
-            "stabilization_max": stabilization_max,
-            "random_window_max": random_window_max,
+            "equal_window_max": _EQUAL_WINDOW_MAX,
+            "stabilization_max": _STABILIZATION_MAX,
+            "random_window_max": _RANDOM_WINDOW_MAX,
         },
     }
     return ExperimentReport(
@@ -575,9 +577,7 @@ def envelope_lemma_check(
     )
 
 
-def g1_chain_check(
-    trials: int = 1000, seed: int = 42, grid: int = 200, t_min: float = 1e-6
-) -> ExperimentReport:
+def g1_chain_check(trials: int = 1000, seed: int = 42, grid: int = 200) -> ExperimentReport:
     """Three steps behind the embedding of G1: (a) the indicator norm of G is
     dominated by c * psi(t); (b) the layer-cake bound ||f||_E <= sum of
     indicator norms times value drops; (c) the measured constant in
@@ -588,7 +588,7 @@ def g1_chain_check(
     G, G1 = space_G(), space_G1()
     psi = _weights.log_psi()
 
-    ts = np.geomspace(t_min, 1.0, grid)
+    ts = np.geomspace(_T_MIN, 1.0, grid)
     fund = fundamental_function(G, ts)
     c_values = fund / psi(ts)
     c_a = float(np.max(c_values))
@@ -597,23 +597,23 @@ def g1_chain_check(
     rng = np.random.default_rng(seed)
     fs = [rearrange(random_step_function(rng)) for _ in range(trials)]
 
-    layer_worst = {}
+    layer_worst, norms = {}, {}
     for name, E in catalog().items():
         gaps = []
-        for f in fs:
+        norms[name] = [ri_norm(f, E) for f in fs]
+        for f, norm in zip(fs, norms[name]):
             drops = np.append(f.values[:-1] - f.values[1:], f.values[-1])
             rhs = float(np.dot(fundamental_function(E, f.breakpoints[1:]), drops))
-            gaps.append(ri_norm(f, E) - rhs)  # must be <= 0 up to slack
+            gaps.append(norm - rhs)  # must be <= 0 up to slack
         layer_worst[name] = max(gaps)
 
-    def g_ratio(f):
-        denom = ri_norm(f, G1)
-        return ri_norm(f, G) / denom if denom > 0 else 0.0
+    def g_ratio(g, g1):
+        return g / g1 if g1 > 0 else 0.0
 
-    c_c = max(g_ratio(f) for f in fs)
+    c_c = max(map(g_ratio, norms["G"], norms["G1"]))
     # the doubled sample: fs, then the next `trials` draws of the same stream
     more = [rearrange(random_step_function(rng)) for _ in range(trials)]
-    c_c2 = max(c_c, max(g_ratio(f) for f in more))
+    c_c2 = max(c_c, max(g_ratio(ri_norm(f, G), ri_norm(f, G1)) for f in more))
     drift = abs(c_c2 - c_c) / c_c if c_c > 0 else 0.0
 
     rows = [
@@ -640,7 +640,7 @@ def g1_chain_check(
     }
     return ExperimentReport(
         "g1chain",
-        params={"trials": trials, "grid": grid, "t_min": t_min},
+        params={"trials": trials, "grid": grid, "t_min": _T_MIN},
         rows=rows,
         summary=summary,
         seed=seed,
@@ -835,9 +835,7 @@ def luxemburg_report(
     )
 
 
-def fundamental_report(
-    grid: int = 50, oracle_points: int = 1_000_000, t_min: float = 1e-6
-) -> ExperimentReport:
+def fundamental_report(grid: int = 50, oracle_points: int = 1_000_000) -> ExperimentReport:
     """Indicator-norm identities for Lorentz and Marcinkiewicz spaces, with a
     dense-grid oracle for the Marcinkiewicz supremum and the product identity
     ||I||_Lorentz * ||I||_Marcinkiewicz = t."""
@@ -849,7 +847,7 @@ def fundamental_report(
         _weights.log_g1(),
         _weights.log_psi(),
     ]
-    ts = np.geomspace(t_min, 1.0, grid)
+    ts = np.geomspace(_T_MIN, 1.0, grid)
     oracle_base = np.geomspace(1e-8, 1.0, oracle_points)
     rows = []
     ok = True
@@ -889,7 +887,7 @@ def fundamental_report(
     }
     return ExperimentReport(
         "fundamental",
-        params={"grid": grid, "oracle_points": oracle_points, "t_min": t_min},
+        params={"grid": grid, "oracle_points": oracle_points, "t_min": _T_MIN},
         rows=rows,
         summary=summary,
     )

@@ -1,8 +1,11 @@
 """Orlicz functions, the convex modular, and the Luxemburg norm.
 
-The Luxemburg norm of f is inf{lam > 0 : integral Phi(f/lam) <= 1}. The
+The Luxemburg norm of f is inf{lam > 0 : integral Phi(f/lam) <= 1}. One
+solver computes it: `luxemburg_norm_max` finds the largest norm among rows
+of values on one partition, and `luxemburg_norm` is its one-row case. The
 modular is continuous and non-increasing in lam for step functions and
-finite-valued Phi, so the norm is bracketed by doubling or halving, and the
+finite-valued Phi, so the norm is bracketed by doubling or halving (or by
+bisection on the binary exponent, where those do not reach it), and the
 bracket is closed to 1e-12 relative. Where Phi comes with its derivative
 (every catalog Phi), Newton's method in mu = 1/lam closes it, in which the
 modular M(mu) = sum_i l_i Phi(mu |v_i|) is convex and increasing; bisection
@@ -11,14 +14,13 @@ finishes the job and stands in wherever Newton cannot run.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .stepfn import StepFunction, linf_norm
+from .stepfn import StepFunction
 
 __all__ = [
     "OrliczFunction",
@@ -37,6 +39,7 @@ __all__ = [
 
 BISECT_RTOL = 1e-12
 MAX_BISECT_ITER = 200
+_DBL_MAX = float(np.finfo(np.float64).max)
 
 # grid top kept where exp-square stays finite in float64
 _VALIDATION_GRID = np.concatenate(([0.0], np.geomspace(1e-6, 12.0, 101)))
@@ -159,13 +162,6 @@ def modular(f: StepFunction, phi: OrliczFunction, lam: float) -> float:
     return float(np.dot(phi(f.values / lam), f.lengths))
 
 
-def _modular_slope(f: StepFunction, phi: OrliczFunction, lam: float):
-    """modular(f, phi, lam), by the same arithmetic, and its slope for Newton."""
-    s = f.values / lam
-    y = phi(s)
-    return float(np.dot(y, f.lengths)), _slope(phi, s, y, f.lengths)
-
-
 def _slope(phi: OrliczFunction, s: np.ndarray, y: np.ndarray, lengths: np.ndarray) -> float:
     """sum_i l_i s_i Phi'(s_i) for s = v/lam and y = Phi(s), which is mu times
     dM/dmu at mu = 1/lam; y is overwritten. Overflow gives inf or nan, which
@@ -178,16 +174,14 @@ def _slope(phi: OrliczFunction, s: np.ndarray, y: np.ndarray, lengths: np.ndarra
 
 def luxemburg_norm(f: StepFunction, phi: OrliczFunction) -> float:
     """inf{lam : modular(f, phi, lam) <= 1} by bracketing, then Newton's method
-    in mu = 1/lam (when phi has a `dphi`) and bisection.
+    in mu = 1/lam (when phi has a `dphi`) and bisection: the one-row case of
+    `luxemburg_norm_max`.
 
     The returned lam satisfies modular(lam) <= 1, and modular(lam * (1-1e-9))
     exceeds 1 unless the bracket closed onto a flat stretch below 1e-12
     relative width.
     """
-    if f.is_zero():
-        return 0.0
-    newton = None if phi.dphi is None else functools.partial(_modular_slope, f, phi)
-    return _find_root(functools.partial(modular, f, phi), linf_norm(f), newton)
+    return luxemburg_norm_max(f.values[None, :], f.lengths, phi)[1]
 
 
 def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunction):
@@ -203,23 +197,23 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
     the first of them is returned (ties go to the lowest index). An all-zero
     input gives (0, 0.0).
     """
-    A = np.abs(np.asarray(values, dtype=np.float64))
+    values = np.asarray(values, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.float64)
-    sup = A.max(axis=1)
+    sup = np.abs(values).max(axis=1)
     top = float(sup.max())
     if top == 0.0:
         return 0, 0.0
-    live = np.flatnonzero(sup > 0.0)  # rows that may still hold the largest norm
-    rows = A[live]
+    live = (sup > 0.0).nonzero()[0]  # rows that may still hold the largest norm
+    rows = values if len(live) == len(values) else values[live]
 
     def max_modular(lam, slope=False):
         nonlocal live, rows
         S = rows / lam
         Y = phi(S)
         m = Y @ lengths
-        i = int(m.argmax())
-        largest = m[i]
-        if largest > 1.0:
+        i = m.argmax()
+        largest = float(m[i])
+        if largest > 1.0 and len(live) > 1:  # a lone row is the largest
             keep = m > 1.0
             if not keep.all():
                 live, rows = live[keep], rows[keep]
@@ -227,27 +221,27 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
             return largest, _slope(phi, S[i], Y[i], lengths)
         return largest
 
-    newton = None if phi.dphi is None else functools.partial(max_modular, slope=True)
-    norm = _find_root(max_modular, top, newton)
+    norm = _find_root(max_modular, top, phi.dphi is not None)
     return int(live[0]), norm
 
 
-def _find_root(mod, lam: float, newton=None) -> float:
+def _find_root(mod, lam: float, newton: bool) -> float:
     """Least lam, to BISECT_RTOL relative, with mod(lam) <= 1, for a
     non-increasing modular `mod`.
 
     Brackets from the first guess `lam` by doubling or halving, falls back to
-    a bisection on the binary exponent when 2^-MAX_BISECT_ITER * lam is still
-    below the root, then closes the bracket: by Newton's method in mu = 1/lam
-    when `newton(lam)` gives (mod(lam), its slope) (see `_newton`), and by
-    bisection. Returns the upper end of the bracket.
+    a bisection on the binary exponent when MAX_BISECT_ITER of them do not
+    reach the root, then closes the bracket: by Newton's method in mu = 1/lam
+    when `newton` is set, for which mod(lam, slope=True) gives (mod(lam), its
+    slope) (see `_newton`), and by bisection. Returns the upper end of the
+    bracket.
     """
     tangents = {}  # lam -> (mod(lam), slope) at the bracket's points
 
     def bracket_mod(x):
-        if newton is None:
+        if not newton:
             return mod(x)
-        m, d = tangents[x] = newton(x)
+        m, d = tangents[x] = mod(x, slope=True)
         return m
 
     if bracket_mod(lam) > 1.0:
@@ -257,8 +251,8 @@ def _find_root(mod, lam: float, newton=None) -> float:
             if bracket_mod(hi) <= 1.0:
                 break
             lo, hi = hi, 2.0 * hi
-        else:  # pragma: no cover - admissible Phi cannot get here
-            raise OrliczError("failed to bracket the Luxemburg norm from above")
+        else:  # the root is above 2^MAX_BISECT_ITER * lam
+            lo, hi = _exponent_bracket(bracket_mod, lo, _DBL_MAX)
     else:
         hi = lam
         lo = lam / 2.0
@@ -269,14 +263,16 @@ def _find_root(mod, lam: float, newton=None) -> float:
                 break
             hi, lo = lo, lo / 2.0
         else:  # the root is below 2^-MAX_BISECT_ITER * lam
-            lo, hi = _exponent_bracket(bracket_mod, hi)
-    if newton is not None:
+            lo, hi = _exponent_bracket(bracket_mod, hi, 5e-324)
+    if newton:
         starts = [(x, *tangents[x]) for x in (hi, lo) if x in tangents]
-        lo, hi = _newton(mod, newton, lo, hi, starts)
+        lo, hi = _newton(mod, lo, hi, starts)
     for _ in range(MAX_BISECT_ITER):
         if hi - lo <= BISECT_RTOL * hi:
             break
         mid = 0.5 * (lo + hi)
+        if mid == math.inf:  # lo + hi overflows in the top binade
+            mid = 0.5 * lo + 0.5 * hi
         if mod(mid) <= 1.0:
             hi = mid
         else:
@@ -311,14 +307,14 @@ def _tangent_root(x: float, m: float, d: float) -> float:
     return math.nan
 
 
-def _newton(mod, newton, lo: float, hi: float, starts):
+def _newton(mod, lo: float, hi: float, starts):
     """Shrink the bracket [lo, hi] by safeguarded Newton steps in mu = 1/lam.
 
     M(mu) is convex and increasing, so the tangent at any point meets 1 at
     a lam below the norm. Newton starts from the higher of the tangent
     roots of `starts`, (lam, M, slope) at lo and hi, and the points rise
     to the norm quadratically. A point only proposes: it moves lo or hi
-    after `newton` (the same modular as `mod`) is evaluated there. Once the
+    after mod(p, slope=True) is evaluated there. Once the
     next step is predicted below _NEWTON_RTOL, the points (1 +- _PROBE)
     times the proposal are evaluated with `mod`, closing the bracket. The
     upper one becomes hi even where an evaluated point at the norm itself
@@ -378,7 +374,7 @@ def _newton(mod, newton, lo: float, hi: float, starts):
         if not room(1):
             break
         x, prev = g, step
-        m, d = newton(x)
+        m, d = mod(x, slope=True)
         used += 1
         if m <= 1.0:
             hi = x
@@ -388,18 +384,20 @@ def _newton(mod, newton, lo: float, hi: float, starts):
     return lo, hi
 
 
-def _exponent_bracket(mod, hi: float):
-    """Bracket [2^a, 2^(a+1)] for a norm below 2^-MAX_BISECT_ITER * hi, by
-    bisection on the binary exponent; mod(hi) must not exceed 1."""
-    b = math.frexp(hi)[1]  # 2^b > hi
-    a = -1074  # 2^-1074 is the least positive double
+def _exponent_bracket(mod, lam: float, far: float):
+    """Bracket [2^a, 2^(a+1)] for a norm between `lam`, where the modular has
+    been evaluated, and `far`, the least positive or the largest double (for
+    which 2^1024 stands), where it is checked; by bisection on the binary
+    exponent."""
+    a, b = math.frexp(min(lam, far))[1] - 1, math.frexp(max(lam, far))[1]
     with np.errstate(all="ignore"):  # f/lam may overflow to inf: modular > 1
-        if not mod(math.ldexp(1.0, a)) > 1.0:
-            raise OrliczError("modular never exceeds 1; Phi appears degenerate on this input")
+        if (mod(far) > 1.0) != (far < lam):
+            side = "never exceeds 1" if far < lam else "exceeds 1 even at the largest double"
+            raise OrliczError(f"modular {side}; Phi appears degenerate on this input")
         while b - a > 1:
             mid = (a + b) // 2
             if mod(math.ldexp(1.0, mid)) > 1.0:
                 a = mid
             else:
                 b = mid
-    return math.ldexp(1.0, a), math.ldexp(1.0, b)
+    return math.ldexp(1.0, a), math.ldexp(1.0, b) if b < 1024 else _DBL_MAX

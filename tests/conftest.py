@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from rispaces.stepfn import StepFunction
+from rispaces.stepfn import StepFunction, step_function
 
 # The tests must not depend on examples saved by earlier runs, so there is
 # no example database; a case that has to be replayed is pinned with @example.
@@ -31,6 +31,17 @@ def step_functions(draw, max_pieces=8, min_value=-50.0, max_value=50.0):
         )
     )
     return StepFunction(breaks, np.asarray(vals))
+
+
+@st.composite
+def moderate_functions(draw, max_pieces=8):
+    """Values 0 or of modulus in [1e-3, 50] on pieces of length >= 1e-3, so
+    that c*f has normal values and a normal norm for |c| in [1e-300, 1e300]."""
+    inner = draw(st.lists(st.integers(1, 999), max_size=max_pieces - 1, unique=True))
+    breaks = [0.0, *sorted(k / 1000.0 for k in inner), 1.0]
+    magnitude = st.one_of(st.just(0.0), st.floats(1e-3, 50.0), st.floats(-50.0, -1e-3))
+    vals = draw(st.lists(magnitude, min_size=len(breaks) - 1, max_size=len(breaks) - 1))
+    return step_function(breaks, vals)
 
 
 @pytest.fixture

@@ -101,6 +101,21 @@ class TestLuxemburgNorm:
         assert ol.modular(f, phi, lam) <= 1.0
         assert ol.modular(f, phi, lam * (1.0 - 1e-9)) > 1.0
 
+    def test_norm_far_above_sup(self):
+        # Phi = 1e300 s^2: the norms 1e150 and 1e308 of the constants 1 and
+        # 1e158 lie beyond 2^200 ||f||_inf, so the bracket comes from the
+        # bisection on the binary exponent, upwards
+        phi = ol.custom_orlicz(lambda s: 1e300 * s * s)
+        for c, want in ((1.0, 1e150), (1e158, 1e308)):
+            f = sf.constant(c)
+            scalar = ol.luxemburg_norm(f, phi)
+            i, rows = ol.luxemburg_norm_max(np.array([[c]]), f.lengths, phi)
+            assert scalar == pytest.approx(want, rel=1e-12)
+            assert i == 0 and rows == pytest.approx(want, rel=1e-12)
+            assert ol.modular(f, phi, scalar) <= 1.0
+        with pytest.raises(ol.OrliczError, match="exceeds 1 even at the largest double"):
+            ol.luxemburg_norm(sf.constant(1e160), phi)
+
     @given(step_functions())
     @settings(max_examples=60, deadline=None)
     def test_homogeneity(self, f):
@@ -147,6 +162,8 @@ class TestLuxemburgNorm:
 
 
 MAX_PHIS = ("exp2", "power:1", "power:2", "power:3.5", "hinge:1")
+# a custom Phi that is even only to the validator's 1e-9
+ASYMMETRIC = ol.custom_orlicz(lambda s: s * s * (1.0 + 1e-10 * np.sign(s)), "asymmetric")
 
 
 def _close(got, want, rtol=2e-12):
@@ -177,6 +194,18 @@ class TestLuxemburgNormMax:
         assert _close(best, want)
         row = np.asarray(signs, dtype=float) @ X
         assert _close(ol.luxemburg_norm(sf.StepFunction(breaks, row), phi), want)
+
+    @pytest.mark.parametrize("desc", [*MAX_PHIS, "power:3", "hinge:2", "asymmetric"])
+    def test_one_row_is_the_scalar_norm(self, desc, rng):
+        # bitwise, on negative values too, also for a Phi that is even only
+        # to the validator's tolerance: both evaluate the signed modular
+        phi = ASYMMETRIC if desc == "asymmetric" else ol.parse_orlicz(desc)
+        fs = [sf.constant(-1.0), sf.step_function([0, 0.3, 1], [-2.0, 0.5])]
+        fs += [ex.random_step_function(rng) for _ in range(30)]
+        for f in fs:
+            scalar = ol.luxemburg_norm(f, phi)
+            assert ol.luxemburg_norm_max(f.values[None, :], f.lengths, phi) == (0, scalar)
+            assert ol.modular(f, phi, scalar) <= 1.0
 
     def test_all_zero(self):
         zeros = np.zeros((4, 3))

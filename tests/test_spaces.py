@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import step_functions
+from conftest import moderate_functions, step_functions
 from rispaces import spaces as sp
 from rispaces import stepfn as sf
 from rispaces import weights as wt
@@ -52,6 +53,23 @@ class TestParseAndDispatch:
             assert sp.ri_norm(sf.constant(-3.0), sp.lp_space(p)) == pytest.approx(
                 3.0, rel=1e-14
             )
+
+
+class TestHomogeneity:
+    """||c f|| = |c| ||f|| over the float64 range. Indicators of tiny sets are
+    left out: their Orlicz modular still overflows."""
+
+    @pytest.mark.parametrize(
+        "desc",
+        ["G", "G1", "MG", "L1", "Linf", "orlicz:power:3", "orlicz:hinge:1", "lorentz:power:0.5"],
+    )
+    @given(f=moderate_functions(), exponent=st.floats(-300.0, 300.0), negative=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_positively_homogeneous(self, desc, f, exponent, negative):
+        E = sp.parse_space(desc)
+        c = -(10.0**exponent) if negative else 10.0**exponent
+        want = abs(c) * sp.ri_norm(f, E)
+        assert sp.ri_norm(f.scale(c), E) == pytest.approx(want, rel=1e-12)
 
 
 class TestFundamentalFunction:

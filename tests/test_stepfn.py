@@ -5,23 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import step_functions
+from conftest import moderate_functions, step_functions
 from rispaces import stepfn as sf
 
 
 def F(breaks, vals):
     return sf.step_function(breaks, vals)
-
-
-@st.composite
-def moderate_functions(draw, max_pieces=8):
-    """Values 0 or of modulus in [1e-3, 50] on pieces of length >= 1e-3, so
-    that c*f has normal values and a normal norm for |c| in [1e-300, 1e300]."""
-    inner = draw(st.lists(st.integers(1, 999), max_size=max_pieces - 1, unique=True))
-    breaks = [0.0, *sorted(k / 1000.0 for k in inner), 1.0]
-    magnitude = st.one_of(st.just(0.0), st.floats(1e-3, 50.0), st.floats(-50.0, -1e-3))
-    vals = draw(st.lists(magnitude, min_size=len(breaks) - 1, max_size=len(breaks) - 1))
-    return F(breaks, vals)
 
 
 class TestConstruction:
