@@ -1,7 +1,8 @@
-"""Sign-sum enumeration kernel.
+"""Sign-sum enumeration kernel, the package's one enumeration of sign vectors.
 
-Every sign vector's sum is accumulated left to right from `start` over the
-coefficients, so callers may compare the multiset of sums bitwise.
+Rows follow the sign vectors in lexicographic order (+1 before -1, the first
+sign most significant), so a row's signs are the bits of its index; each sum
+is accumulated left to right from `start`, so sums compare bitwise.
 """
 
 from __future__ import annotations
@@ -9,10 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def enumerate_signed_sums(coeffs: np.ndarray, start: float = 0.0) -> np.ndarray:
-    """All 2^n values of start + sum_i eps_i * coeffs[i] over sign vectors eps."""
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    vals = np.full(1, start, dtype=np.float64)
-    for a in coeffs:
-        vals = np.concatenate([vals + a, vals - a])
-    return vals
+def enumerate_signed_sums(coeffs: np.ndarray, start=0.0) -> np.ndarray:
+    """All 2^n values of start + sum_i eps_i * coeffs[i]; rows in coeffs give rows."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    n = len(coeffs)
+    out = np.empty((1 << n, *coeffs.shape[1:]))
+    out[0] = start
+    for i, a in enumerate(coeffs):
+        h = 1 << (n - 1 - i)  # the partial sums lie 2h rows apart; each one
+        sums = out[:: 2 * h]  # becomes itself + a and, h rows on, itself - a
+        np.subtract(sums, a, out=out[h :: 2 * h])
+        sums += a
+    return out

@@ -138,10 +138,7 @@ def main(argv=None) -> int:
             }[args.format]()
             _emit(text, args.out)
             return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
-    except (_stepfn.ParseError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except _stepfn.StepFunctionError as exc:
+    except (_stepfn.StepFunctionError, OSError) as exc:  # ParseError included
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except _CONFIG_ERRORS as exc:

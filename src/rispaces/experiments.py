@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _signdist_py as _kernel
 from . import orlicz as _orlicz
 from . import weights as _weights
 from .rademacher import MAX_ENUM_N, MAX_EQUAL_N, sum_rearrangement, rademacher_sum_norm
@@ -227,30 +228,26 @@ def _refinement_matrix(xs):
     return breaks, np.diff(breaks), X
 
 
-def _all_signs(n: int) -> np.ndarray:
-    """All 2^n sign vectors in lexicographic order, +1 before -1."""
-    idx = np.arange(1 << n)
-    bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return 1.0 - 2.0 * bits
-
-
 def _half_sign_sums(xs):
-    """(breaks, lengths, X, signs, S): the common refinement of the x_i, their
-    values on it (one function per row of X) and the sums sum_i eps_i x_i,
-    one row of S per row of `signs`.
+    """(breaks, lengths, X, S): the common refinement of the x_i, their values
+    on it (one function per row of X) and the sums sum_i eps_i x_i.
 
-    `signs` holds only the 2^(n-1) sign vectors with eps_1 = +1, in
-    lexicographic order (+1 before -1): the others give the exact negations,
-    and every norm and every Phi here is even, so a maximum or an average
-    over these rows is one over all 2^n. The completions of a sign prefix
-    are one contiguous block of rows.
+    S has a row for each of the 2^(n-1) sign vectors with eps_1 = +1, in the
+    kernel's lexicographic order (+1 before -1; `_row_signs` decodes a row):
+    the others give the exact negations, and every norm and every Phi here
+    is even, so a maximum or an average over these rows is one over all 2^n.
+    The completions of a sign prefix are one contiguous block of rows.
     """
     n = len(xs)
     if not 1 <= n <= MAX_SIGN_N:
         raise ExperimentError(f"need 1 <= n <= {MAX_SIGN_N} functions, got {n}")
     breaks, dl, X = _refinement_matrix(xs)
-    signs = np.hstack([np.ones((1 << (n - 1), 1)), _all_signs(n - 1)])
-    return breaks, dl, X, signs, signs @ X
+    return breaks, dl, X, _kernel.enumerate_signed_sums(X[1:], start=X[0])
+
+
+def _row_signs(row: int, n: int) -> tuple:
+    """Signs of a `_half_sign_sums` row: +1, then the row's bits (1 is -1)."""
+    return (1, *(1 - 2 * ((row >> k) & 1) for k in range(n - 2, -1, -1)))
 
 
 def sign_bruteforce(xs, E: SpaceSpec):
@@ -259,9 +256,9 @@ def sign_bruteforce(xs, E: SpaceSpec):
     Ties break lexicographically with +1 before -1, so eps_1 = +1. Returns
     (signs, best).
     """
-    breaks, _, _, signs, S = _half_sign_sums(xs)
+    breaks, _, _, S = _half_sign_sums(xs)
     i, best = ri_norm_max(breaks, S, E)
-    return tuple(int(s) for s in signs[i]), best
+    return _row_signs(i, len(xs)), best
 
 
 def derandomized_signs(xs, phi: _orlicz.OrliczFunction, lam: float):
@@ -277,8 +274,8 @@ def derandomized_signs(xs, phi: _orlicz.OrliczFunction, lam: float):
     """
     if lam <= 0.0:
         raise ExperimentError(f"lam must be positive, got {lam}")
-    _, dl, _, signs, S = _half_sign_sums(xs)
-    return tuple(int(s) for s in signs[_conditional_signs(phi(S / lam) @ dl)])
+    _, dl, _, S = _half_sign_sums(xs)
+    return _row_signs(_conditional_signs(phi(S / lam) @ dl), len(xs))
 
 
 def _conditional_signs(mods) -> int:
@@ -300,7 +297,7 @@ def _conditional_signs(mods) -> int:
 def _sign_instance(xs, phi: _orlicz.OrliczFunction) -> dict:
     """Quantities of the sign-selection inequality for one instance."""
     n = len(xs)
-    _, dl, _, _, S = _half_sign_sums(xs)
+    _, dl, _, S = _half_sign_sums(xs)
     _, best = _orlicz.luxemburg_norm_max(S, dl, phi)
     l1_norms = [l1_norm(x) for x in xs]
     rhs_fn = sum_rearrangement(l1_norms)
@@ -486,7 +483,7 @@ def derandomization_report(
 
     def one(xs, phi):
         n = len(xs)
-        _, dl, X, _, S = _half_sign_sums(xs)
+        _, dl, X, S = _half_sign_sums(xs)
         # keep |values|/lam <= 1 so the exp-square modular stays tame
         lam = max(float(np.max(np.abs(X).sum(axis=0))), 1e-9)
         mods = phi(S / lam) @ dl

@@ -49,6 +49,10 @@ class OrliczError(ValueError):
     """Inadmissible Orlicz function or bad modular argument."""
 
 
+def _degenerate(side: str) -> OrliczError:
+    return OrliczError(f"modular {side}; Phi appears degenerate on this input")
+
+
 @dataclass(frozen=True, eq=False)
 class OrliczFunction:
     """Convex, even, non-decreasing evaluator with Phi(0) = 0.
@@ -245,12 +249,13 @@ def _find_root(mod, lam: float, newton: bool) -> float:
         return m
 
     if bracket_mod(lam) > 1.0:
-        lo = lam
-        hi = 2.0 * lam
+        lo, hi = lam, min(2.0 * lam, _DBL_MAX)
         for _ in range(MAX_BISECT_ITER):
             if bracket_mod(hi) <= 1.0:
                 break
-            lo, hi = hi, 2.0 * hi
+            if hi == _DBL_MAX:
+                raise _degenerate("exceeds 1 even at the largest double")
+            lo, hi = hi, min(2.0 * hi, _DBL_MAX)
         else:  # the root is above 2^MAX_BISECT_ITER * lam
             lo, hi = _exponent_bracket(bracket_mod, lo, _DBL_MAX)
     else:
@@ -358,7 +363,7 @@ def _newton(mod, lo: float, hi: float, starts):
         if step <= _NEWTON_RTOL * g or (
             step < prev and step * (step / prev) ** 2 <= _NEWTON_RTOL * g
         ):
-            up, down = g * (1.0 + _PROBE), g * (1.0 - _PROBE)
+            up, down = min(g * (1.0 + _PROBE), _DBL_MAX), g * (1.0 - _PROBE)
             if lo < up and room(1):  # even above hi: see the docstring
                 probe(up)
             if lo < down < hi and room(1):
@@ -393,7 +398,7 @@ def _exponent_bracket(mod, lam: float, far: float):
     with np.errstate(all="ignore"):  # f/lam may overflow to inf: modular > 1
         if (mod(far) > 1.0) != (far < lam):
             side = "never exceeds 1" if far < lam else "exceeds 1 even at the largest double"
-            raise OrliczError(f"modular {side}; Phi appears degenerate on this input")
+            raise _degenerate(side)
         while b - a > 1:
             mid = (a + b) // 2
             if mod(math.ldexp(1.0, mid)) > 1.0:

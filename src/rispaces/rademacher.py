@@ -63,12 +63,7 @@ def signed_sum(coeffs: Sequence[float], signs: Sequence[int]) -> StepFunction:
         raise RademacherError(f"n={n} exceeds the enumeration cap {MAX_ENUM_N}")
     if not np.all(np.abs(signs) == 1):
         raise RademacherError("signs must be exactly +1 or -1")
-    idx = np.arange(1 << n)
-    vals = np.zeros(1 << n)
-    for i in range(n):
-        r_i = 1.0 - 2.0 * ((idx >> (n - 1 - i)) & 1)
-        vals = vals + (float(signs[i]) * coeffs[i]) * r_i
-    return StepFunction(_dyadic_breaks(n), vals)
+    return StepFunction(_dyadic_breaks(n), _kernel.enumerate_signed_sums(signs * coeffs))
 
 
 def _atoms_to_step(values_desc: np.ndarray, counts, denominator: int) -> StepFunction:

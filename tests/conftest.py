@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -42,6 +44,26 @@ def moderate_functions(draw, max_pieces=8):
     magnitude = st.one_of(st.just(0.0), st.floats(1e-3, 50.0), st.floats(-50.0, -1e-3))
     vals = draw(st.lists(magnitude, min_size=len(breaks) - 1, max_size=len(breaks) - 1))
     return step_function(breaks, vals)
+
+
+def sign_vectors(n):
+    """All 2^n sign vectors, one per row, in lexicographic order: +1 before
+    -1, the first sign most significant."""
+    return np.array(list(itertools.product((1.0, -1.0), repeat=n))).reshape(1 << n, n)
+
+
+def signed_sums(coeffs, start=0.0):
+    """start + sum_i eps_i * coeffs[i] (scalars, or rows of a matrix), one
+    entry per row of `sign_vectors`, each summed left to right one term at a
+    time: a reference that depends neither on the BLAS nor on the kernel."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    sums = []
+    for eps in sign_vectors(len(coeffs)):
+        acc = start
+        for e, a in zip(eps, coeffs):
+            acc = acc + e * a
+        sums.append(acc)
+    return np.array(sums, dtype=np.float64)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sign_vectors, signed_sums
 from rispaces import experiments as ex
 from rispaces import orlicz as ol
 from rispaces import spaces as sp
@@ -65,10 +66,9 @@ class TestSignBruteforce:
         # generic per-row path via a Lorentz space sanity anchor: recompute
         # the winning Orlicz norm directly
         breaks, dl, X = ex._refinement_matrix(xs)
-        signs = ex._all_signs(5)
         best = max(
             ol.luxemburg_norm(sf.StepFunction(breaks, row), ol.exp_square())
-            for row in signs @ X
+            for row in signed_sums(X)
         )
         assert fast == pytest.approx(best, rel=1e-10)
 
@@ -89,10 +89,19 @@ class TestSignBruteforce:
             n = int(rng.integers(1, 6))
             xs = [ex.random_step_function(rng, max_plateaus=4) for _ in range(n)]
             breaks, _, X = ex._refinement_matrix(xs)
-            signs = np.hstack([np.ones((1 << (n - 1), 1)), ex._all_signs(n - 1)])
-            norms = [sp.ri_norm(sf.StepFunction(breaks, row), E) for row in signs @ X]
+            signs = sign_vectors(n)[: 1 << (n - 1)]
+            rows = signed_sums(X[1:], start=X[0])
+            norms = [sp.ri_norm(sf.StepFunction(breaks, row), E) for row in rows]
             i = norms.index(max(norms))
             assert ex.sign_bruteforce(xs, E) == (tuple(int(s) for s in signs[i]), norms[i])
+
+    def test_half_sign_sums_match_reference(self, rng):
+        # bitwise: each row summed left to right from x_1, eps_1 = +1 only
+        for n in (1, 2, 5, 9):
+            xs = [ex.random_step_function(rng, max_plateaus=5) for _ in range(n)]
+            _, dl, X, S = ex._half_sign_sums(xs)
+            assert S.shape == (1 << (n - 1), len(dl))
+            assert S.tobytes() == signed_sums(X[1:], start=X[0]).tobytes()
 
 
 def _avg_modular_reference(base, rest, dl, phi, lam):
@@ -138,7 +147,7 @@ class TestDerandomization:
             _, dl, X = ex._refinement_matrix(xs)
             lam = max(float(np.max(np.abs(X).sum(axis=0))), 1e-9)
             signs = ex.derandomized_signs(xs, phi, lam)
-            S = ex._all_signs(n) @ X
+            S = signed_sums(X)
             mods = phi(S / lam) @ dl
             greedy = float(np.dot(phi((np.asarray(signs) @ X) / lam), dl))
             assert greedy >= float(np.mean(mods)) * (1.0 - 1e-12) - 1e-300
@@ -181,7 +190,7 @@ class TestDerandomization:
             if len(xs) != 2:
                 continue
             _, dl, X = ex._refinement_matrix(xs)
-            mods = phi(ex._all_signs(2) @ X / row["lam"]) @ dl
+            mods = phi(signed_sums(X) / row["lam"]) @ dl
             assert row["q75_modular"] == pytest.approx(np.quantile(mods, 0.75), rel=1e-15)
             assert row["avg_modular"] == pytest.approx(np.mean(mods), rel=1e-15)
             checked += 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import step_functions
+from conftest import signed_sums, step_functions
 from rispaces import experiments as ex
 from rispaces import orlicz as ol
 from rispaces import spaces as sp
@@ -116,6 +116,27 @@ class TestLuxemburgNorm:
         with pytest.raises(ol.OrliczError, match="exceeds 1 even at the largest double"):
             ol.luxemburg_norm(sf.constant(1e160), phi)
 
+    def test_norm_near_the_largest_double(self):
+        # doubling and Newton's upper probe stop at the largest double, not inf
+        big = float(np.finfo(np.float64).max)
+        cases = (
+            (big, ol.power(2.0), big),
+            (1e308, ol.custom_orlicz(lambda s: 2.0 * s * s), math.sqrt(2.0) * 1e308),
+        )
+        for c, phi, want in cases:
+            f = sf.constant(c)
+            i, rows = ol.luxemburg_norm_max(np.array([[c]]), f.lengths, phi)
+            assert i == 0
+            for norm in (ol.luxemburg_norm(f, phi), rows):
+                assert abs(norm - want) <= 1e-12 * want
+                assert ol.modular(f, phi, norm) <= 1.0
+        # the norm 1.7e308 / sqrt(log 2) = 2.04e308 is not a double
+        f, phi = sf.constant(1.7e308), ol.exp_square()
+        with pytest.raises(ol.OrliczError, match="exceeds 1 even at the largest double"):
+            ol.luxemburg_norm(f, phi)
+        with pytest.raises(ol.OrliczError, match="exceeds 1 even at the largest double"):
+            ol.luxemburg_norm_max(f.values[None, :], f.lengths, phi)
+
     @given(step_functions())
     @settings(max_examples=60, deadline=None)
     def test_homogeneity(self, f):
@@ -183,7 +204,7 @@ class TestLuxemburgNormMax:
     def test_matches_largest_scalar_norm(self, desc, xs):
         phi = ol.parse_orlicz(desc)
         breaks, dl, X = ex._refinement_matrix(xs)
-        S = ex._all_signs(len(xs)) @ X
+        S = signed_sums(X)
         scalar = [ol.luxemburg_norm(sf.StepFunction(breaks, row), phi) for row in S]
         want = max(scalar)
         i, norm = ol.luxemburg_norm_max(S, dl, phi)
@@ -398,7 +419,7 @@ class TestNewtonSolver:
         for _ in range(20):
             xs = [ex.random_step_function(rng, max_plateaus=4) for _ in range(4)]
             breaks, dl, X = ex._refinement_matrix(xs)
-            S = ex._all_signs(len(xs)) @ X
+            S = signed_sums(X)
             i, norm = ol.luxemburg_norm_max(S, dl, wrong)
             _, want = ol.luxemburg_norm_max(S, dl, bisect)
             assert abs(norm - want) <= 1e-12 * want

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import signed_sums
 from rispaces import rademacher as rd
 from rispaces import stepfn as sf
 from rispaces import spaces as sp
@@ -54,12 +55,33 @@ class TestSignedSum:
         with pytest.raises(rd.RademacherError):
             rd.signed_sum([1.0], [0])
 
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_matches_r_i_loop(self, scale, rng):
+        for n in (1, 2, 5, 11, 16):
+            coeffs = rng.normal(size=n) * scale
+            coeffs[n // 2] = 0.0 if n % 2 else -0.0  # signed zeros keep their bits too
+            signs = rng.choice([-1, 1], size=n)
+            want = sf.StepFunction(rd._dyadic_breaks(n), _signed_sum_loop(coeffs, signs))
+            assert _bitwise_equal(rd.signed_sum(coeffs, signs), want)
+
     def test_matches_explicit_combination(self):
         coeffs = [0.7, -1.3, 2.1]
         signs = [1, -1, 1]
         fns = [rd.rademacher(i + 1) for i in range(3)]
         want = sf.linear_combination(fns, [s * c for s, c in zip(signs, coeffs)])
         assert rd.signed_sum(coeffs, signs) == want
+
+
+def _signed_sum_loop(coeffs, signs) -> np.ndarray:
+    """Values of sum_i signs[i] * coeffs[i] * r_i on the dyadic intervals,
+    one r_i at a time: how `signed_sum` built them before the kernel."""
+    n = len(coeffs)
+    idx = np.arange(1 << n)
+    vals = np.zeros(1 << n)
+    for i in range(n):
+        r_i = 1.0 - 2.0 * ((idx >> (n - 1 - i)) & 1)
+        vals = vals + (float(signs[i]) * coeffs[i]) * r_i
+    return vals
 
 
 class TestSumRearrangement:
@@ -178,6 +200,28 @@ class TestKernel:
     def test_small_case_by_hand(self):
         got = np.sort(enum_py(np.array([1.0, 2.0])))
         assert np.array_equal(got, [-3.0, -1.0, 1.0, 3.0])
+
+    def test_lexicographic_order(self):
+        # with coefficients 2^(n-1), ..., 2, 1 the sum of row r is 2^n - 1 - 2r
+        for n in (0, 1, 3, 8):
+            powers = 2.0 ** np.arange(n - 1, -1, -1)
+            want = (1 << n) - 1 - 2.0 * np.arange(1 << n)
+            assert np.array_equal(enum_py(powers), want)
+            rows = enum_py(np.stack([powers, -powers], axis=1), start=[0.0, 0.0])
+            assert np.array_equal(rows, np.stack([want, -want], axis=1))
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (9,), (0, 3), (1, 3), (7, 4)])
+    @pytest.mark.parametrize("exponent", [-5, 0, 5])
+    def test_rows_are_left_to_right_sums(self, shape, exponent, rng):
+        # bitwise, in the order of the reference, for scalars and for rows
+        coeffs = rng.normal(size=shape) * 10.0**exponent
+        start = rng.normal(size=shape[1:]) * 10.0**exponent
+        for got, want in (
+            (enum_py(coeffs), signed_sums(coeffs, np.zeros(shape[1:]))),
+            (enum_py(coeffs, start=start), signed_sums(coeffs, start)),
+        ):
+            assert got.shape == (1 << shape[0], *shape[1:])
+            assert got.tobytes() == want.tobytes()
 
 
 class TestNorms:
