@@ -13,13 +13,14 @@ Exit codes: 0 ok / verified, 1 verification failed, 2 input error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import experiments as _experiments
 from . import stepfn as _stepfn
 from .orlicz import OrliczError
 from .rademacher import RademacherError, rademacher
-from .spaces import SpaceError, parse_space, ri_norm, space_G
+from .spaces import SpaceError, parse_space, ri_norm
 from .weights import WeightError
 
 EXIT_OK = 0
@@ -27,10 +28,12 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CONFIG_ERROR = 3
 
-DEFAULT_SEED = 42
-
 _CONFIG_ERRORS = (SpaceError, WeightError, OrliczError, RademacherError,
                   _experiments.ExperimentError)
+
+# verify flag -> the suite keyword it sets; a suite takes a flag when its
+# signature has the keyword, and the signature's default applies without it
+_SUITE_FLAGS = {"seed": "seed", "trials": "trials", "space": "E", "nmax": "n_max", "grid": "grid"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,10 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("suite", help="suite name")
     p_ver.add_argument("--space", help="space descriptor, where the suite takes one")
-    p_ver.add_argument("--n", type=int, help="max number of summands (sign suites)")
-    p_ver.add_argument("--nmax", type=int, help="max n (theorem1)")
+    p_ver.add_argument("--nmax", "--n", type=int, help="max n, or max number of summands")
     p_ver.add_argument("--trials", type=int, help="number of random instances")
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_ver.add_argument("--seed", type=int, help="generator seed (default: the suite's, 42)")
     p_ver.add_argument("--grid", type=int, help="grid size, where the suite takes one")
     p_ver.add_argument("--out", help="report file (default: stdout)")
     p_ver.add_argument("--format", choices=("json", "csv", "text"), default="json")
@@ -71,37 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _suite_kwargs(args) -> dict:
-    """Map CLI flags onto the chosen suite's keyword arguments."""
-    suite = args.suite
+    """Map the verify flags that were given onto the chosen suite's keywords."""
+    params = inspect.signature(_experiments._suite(args.suite)).parameters
     kw: dict = {}
-    seeded = suite not in ("gg1", "fundamental")
-    if seeded:
-        kw["seed"] = args.seed
-    if args.trials is not None:
-        if suite in ("gg1", "fundamental"):
-            raise _experiments.ExperimentError(f"suite {suite!r} takes no --trials")
-        kw["trials"] = args.trials
-    if args.space is not None:
-        if suite not in ("theorem1", "envelope"):
-            raise _experiments.ExperimentError(f"suite {suite!r} takes no --space")
-        kw["E"] = parse_space(args.space)
-    elif suite == "theorem1":
-        kw["E"] = space_G()
-    if args.nmax is not None:
-        if suite != "theorem1":
-            raise _experiments.ExperimentError(f"suite {suite!r} takes no --nmax")
-        kw["n_max"] = args.nmax
-    if args.n is not None:
-        if suite not in ("sign", "derandomize"):
-            raise _experiments.ExperimentError(f"suite {suite!r} takes no --n")
-        kw["n_max"] = args.n
-    if args.grid is not None:
-        if suite == "gg1":
-            kw["grid_size"] = args.grid
-        elif suite in ("g1chain", "fundamental", "luxemburg"):
-            kw["grid"] = args.grid
-        else:
-            raise _experiments.ExperimentError(f"suite {suite!r} takes no --grid")
+    for flag, key in _SUITE_FLAGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if key not in params:
+            raise _experiments.ExperimentError(f"suite {args.suite!r} takes no --{flag}")
+        kw[key] = parse_space(value) if key == "E" else value
     return kw
 
 

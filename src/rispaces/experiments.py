@@ -25,6 +25,7 @@ from . import orlicz as _orlicz
 from . import weights as _weights
 from .rademacher import MAX_ENUM_N, MAX_EQUAL_N, sum_rearrangement, rademacher_sum_norm
 from .spaces import (
+    _HINGE_SLACK,
     SpaceSpec,
     catalog,
     envelope_weight,
@@ -80,7 +81,7 @@ _SPIKE_SCALE = 10.0  # and the spike's factor
 _EQUAL_WINDOW_MAX = 3.0  # theorem1's pass windows
 _STABILIZATION_MAX = 0.05
 _RANDOM_WINDOW_MAX = 4.0
-_T_MIN = 1e-6  # least t of the g1chain and fundamental indicator grids
+_T_MIN = 1e-6  # least t of the g1chain, gg1 and fundamental indicator grids
 
 
 class ExperimentError(ValueError):
@@ -348,20 +349,21 @@ def orlicz_sign_inequality(xs, phi: _orlicz.OrliczFunction) -> ExperimentReport:
 
 
 def theorem1_report(
-    E: SpaceSpec,
+    E: SpaceSpec | None = None,
     n_max: int = 16,
     trials: int = 200,
     seed: int = 42,
     random_n_max: int = 14,
 ) -> ExperimentReport:
     """Growth of ||sum_1^n r_i||_E / sqrt(n) and of coefficient sums against
-    the Euclidean norm, with empirical constant windows."""
+    the Euclidean norm, with empirical constant windows; E=None means G."""
     _require(0, seed=seed, trials=trials, random_n_max=random_n_max)
     _require(1, n_max=n_max)
     if n_max > MAX_EQUAL_N:
         raise ExperimentError(f"n_max capped at {MAX_EQUAL_N}, got {n_max}")
     if random_n_max > MAX_ENUM_N:
         raise ExperimentError(f"random_n_max capped at {MAX_ENUM_N}, got {random_n_max}")
+    E = space_G() if E is None else E
     rng = np.random.default_rng(seed)
     coeff_sets = {
         n: [_random_unit_vector(rng, n) for _ in range(trials)]
@@ -430,7 +432,7 @@ def _sign_instances(trials, n_max, seed, max_plateaus):
     """The seeded (xs, phi) instances of both sign suites: n uniform in
     [1, n_max] random step functions, Phi cycling over `_SIGN_PHIS`."""
     _require(0, seed=seed)
-    _require(1, trials=trials, n_max=n_max, max_plateaus=max_plateaus)
+    _require(1, trials=trials, n_max=n_max)
     if n_max > MAX_SIGN_N:
         raise ExperimentError(f"n_max capped at {MAX_SIGN_N}, got {n_max}")
     phis = [_orlicz.parse_orlicz(d) for d in _SIGN_PHIS]
@@ -443,12 +445,10 @@ def _sign_instances(trials, n_max, seed, max_plateaus):
     return instances
 
 
-def sign_selection_report(
-    trials: int = 1000, n_max: int = 10, seed: int = 42, max_plateaus: int = 10
-) -> ExperimentReport:
+def sign_selection_report(trials: int = 1000, n_max: int = 10, seed: int = 42) -> ExperimentReport:
     """Exhaustive verification of the sign-selection inequality on random
     instances, cycling Phi over power:1, power:2, exp2."""
-    instances = _sign_instances(trials, n_max, seed, max_plateaus)
+    instances = _sign_instances(trials, n_max, seed, max_plateaus=10)
     rows = [_sign_instance(xs, phi) for xs, phi in instances]
     for i, row in enumerate(rows):
         row["case"] = i
@@ -474,12 +474,10 @@ def sign_selection_report(
     )
 
 
-def derandomization_report(
-    trials: int = 200, n_max: int = 12, seed: int = 42, max_plateaus: int = 6
-) -> ExperimentReport:
+def derandomization_report(trials: int = 200, n_max: int = 12, seed: int = 42) -> ExperimentReport:
     """Greedy conditional-expectation signs versus the exact modular
     distribution over all sign vectors."""
-    instances = _sign_instances(trials, n_max, seed, max_plateaus)
+    instances = _sign_instances(trials, n_max, seed, max_plateaus=6)
 
     def one(xs, phi):
         n = len(xs)
@@ -644,9 +642,7 @@ def g1_chain_check(trials: int = 1000, seed: int = 42, grid: int = 200) -> Exper
     )
 
 
-def g_g1_indicator_comparison(
-    grid_size: int = 200, t_min: float = 1e-6
-) -> ExperimentReport:
+def g_g1_indicator_comparison(grid: int = 200) -> ExperimentReport:
     """Indicator norms of G (exact Orlicz), G1, and M(phi_G) over a log grid,
     with pairwise ratio windows. Pass means equivalence (ratios in [1/4, 4]),
     not equality; the exact-Orlicz-to-G1 ratio tends to 1/2 at small t.
@@ -654,12 +650,12 @@ def g_g1_indicator_comparison(
     Also tabulates t/phi(t) for the non-concave reading of the G weight,
     whose indicator quantity blows up as t -> 0.
     """
-    _require(1, grid_size=grid_size)
+    _require(1, grid=grid)
     G = space_G()
     phi1 = _weights.log_g1()
     phi_g = _weights.log_g()
     phi_printed = _weights.log_g_printed()
-    ts = np.geomspace(t_min, 1.0, grid_size)
+    ts = np.geomspace(_T_MIN, 1.0, grid)
     n_g = fundamental_function(G, ts)
     n_g1 = phi1(ts)
     n_mg = ts / phi_g(ts)
@@ -690,7 +686,7 @@ def g_g1_indicator_comparison(
     }
     return ExperimentReport(
         "gg1",
-        params={"grid_size": grid_size, "t_min": t_min},
+        params={"grid_size": grid, "t_min": _T_MIN},
         rows=rows,
         summary=summary,
     )
@@ -732,7 +728,7 @@ def hinge_sandwich_report(
         "violations": fails,
         "mu_oracle_max_gap": oracle_worst,
         "pass": bool(fails == 0 and oracle_worst <= 1e-10),
-        "tolerances": {"sandwich_slack": INEQ_SLACK, "mu_oracle_rtol": 1e-10},
+        "tolerances": {"sandwich_slack": _HINGE_SLACK, "mu_oracle_rtol": 1e-10},
     }
     return ExperimentReport(
         "hinge",
@@ -906,9 +902,13 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **kwargs) -> ExperimentReport:
+def _suite(name: str):
+    """The suite function registered as `name`; its signature declares the
+    parameters the suite takes and their defaults."""
     if name not in SUITES:
-        raise ExperimentError(
-            f"unknown suite {name!r}; valid: {', '.join(sorted(SUITES))}"
-        )
-    return SUITES[name](**kwargs)
+        raise ExperimentError(f"unknown suite {name!r}; valid: {', '.join(sorted(SUITES))}")
+    return SUITES[name]
+
+
+def run_suite(name: str, **kwargs) -> ExperimentReport:
+    return _suite(name)(**kwargs)

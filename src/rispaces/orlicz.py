@@ -199,7 +199,9 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
     below the largest norm, so it is dropped for good; the rows that survive
     all have norms within the root finder's tolerance of the largest one, and
     the first of them is returned (ties go to the lowest index). An all-zero
-    input gives (0, 0.0).
+    input gives (0, 0.0). Where Phi(v/lam) overflows to inf up to the norm
+    (intervals shorter than about 1/DBL_MAX), the root found is the overflow
+    threshold, not the norm, and OrliczError is raised.
     """
     values = np.asarray(values, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.float64)
@@ -209,14 +211,17 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
         return 0, 0.0
     live = (sup > 0.0).nonzero()[0]  # rows that may still hold the largest norm
     rows = values if len(live) == len(values) else values[live]
+    overflow = 0.0  # the largest lam at which the largest modular read inf
 
     def max_modular(lam, slope=False):
-        nonlocal live, rows
+        nonlocal live, rows, overflow
         S = rows / lam
         Y = phi(S)
         m = Y @ lengths
         i = m.argmax()
         largest = float(m[i])
+        if largest == math.inf:
+            overflow = max(overflow, lam)
         if largest > 1.0 and len(live) > 1:  # a lone row is the largest
             keep = m > 1.0
             if not keep.all():
@@ -225,7 +230,10 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
             return largest, _slope(phi, S[i], Y[i], lengths)
         return largest
 
-    norm = _find_root(max_modular, top, phi.dphi is not None)
+    with np.errstate(over="ignore"):
+        norm = _find_root(max_modular, top, phi.dphi is not None)
+    if norm <= overflow * (1.0 + 2.0 * BISECT_RTOL):
+        raise OrliczError(f"Phi(f/lam) overflows up to the norm, near {norm:.6g}")
     return int(live[0]), norm
 
 

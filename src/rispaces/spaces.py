@@ -231,6 +231,9 @@ def envelope_weight(E: SpaceSpec) -> _weights.ConcaveWeight:
     return _weights.custom_weight(fn, name=f"envelope:{E.name}", strict=False)
 
 
+_HINGE_SLACK = 1e-9  # absolute slack of HingeBound.ok, which the hinge suite reports
+
+
 class HingeBound(NamedTuple):
     lower: float  # half the partial integral of the rearrangement up to t
     upper: float  # the partial integral itself
@@ -238,7 +241,7 @@ class HingeBound(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return self.lower - 1e-9 <= self.norm <= self.upper + 1e-9
+        return self.lower - _HINGE_SLACK <= self.norm <= self.upper + _HINGE_SLACK
 
 
 def hinge_family_bound(f: StepFunction, t: float) -> HingeBound:

@@ -272,12 +272,10 @@ def measure_above(f: StepFunction, c: float) -> float:
 
 
 def common_breakpoints(fns: Iterable[StepFunction]) -> np.ndarray:
-    breaks = None
-    for f in fns:
-        breaks = f.breakpoints if breaks is None else np.union1d(breaks, f.breakpoints)
-    if breaks is None:
+    parts = [f.breakpoints for f in fns]
+    if not parts:
         raise StepFunctionError("need at least one function")
-    return breaks
+    return np.unique(np.concatenate(parts))
 
 
 def values_on(f: StepFunction, breaks: np.ndarray) -> np.ndarray:

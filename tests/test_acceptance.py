@@ -95,10 +95,11 @@ def test_criterion_08_indicator_chain():
 
 
 def test_criterion_09_indicator_comparison():
-    rep = ex.g_g1_indicator_comparison(grid_size=200, t_min=1e-6)
+    rep = ex.g_g1_indicator_comparison(grid=200)
     lo, hi = rep.summary["ratio_window"]
     ok = (
-        rep.passed
+        rep.params == {"grid_size": 200, "t_min": 1e-6}
+        and rep.passed
         and lo >= 0.25
         and hi <= 4.0
         and abs(rep.summary["small_t_ratio_G_over_G1"] - 0.5) <= 0.05
@@ -127,7 +128,7 @@ def test_criterion_11_determinism():
         "derandomize": {"trials": 8, "n_max": 5, "seed": 9},
         "envelope": {"trials": 20, "indicator_trials": 10, "seed": 9},
         "g1chain": {"trials": 30, "grid": 30, "seed": 9},
-        "gg1": {"grid_size": 30},
+        "gg1": {"grid": 30},
         "hinge": {"trials": 30, "oracle_instances": 5, "seed": 9},
     }
     assert set(small) == set(ex.SUITES)

@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rispaces
 from rispaces import cli
 from rispaces import stepfn as sf
+
+SRC = str(Path(rispaces.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -107,6 +114,17 @@ class TestVerify:
     def test_wrong_flag_for_suite(self):
         assert cli.main(["verify", "hinge", "--n", "4"]) == cli.EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("args, params", [
+        (["theorem1", "--n", "5", "--trials", "3"], {"n_max": 5, "space": "G"}),
+        (["sign", "--nmax", "5", "--trials", "10"], {"n_max": 5}),
+    ])
+    def test_n_and_nmax_are_one_option(self, args, params, tmp_path):
+        # theorem1 defaults to G, and every seeded suite to seed 42
+        out = tmp_path / "rep.json"
+        assert cli.main(["verify", *args, "--out", str(out)]) == cli.EXIT_OK
+        data = json.loads(out.read_text())
+        assert data["params"].items() >= params.items() and data["seed"] == 42
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["verify", "derandomize", "--n", "4", "--trials", "8", "--seed", "5"]
@@ -150,6 +168,8 @@ DEGENERATE_FLAGS = [
     ("fundamental", ["--grid", "0"]),
     ("hinge", ["--trials", "0"]),
     ("hinge", ["--seed", "-1"]),
+    ("sign", ["--n", "21"]),
+    ("theorem1", ["--nmax", "61"]),
 ]
 
 
@@ -163,3 +183,47 @@ def test_degenerate_flag_is_config_error(suite, flags, capsys):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.startswith("config error:")
+
+
+# a suite that takes no such keyword, for each verify flag
+REJECTED_FLAGS = [
+    ("gg1", "--seed", "5"),
+    ("fundamental", "--seed", "5"),
+    ("rearrangement", "--space", "G"),
+    ("gg1", "--trials", "5"),
+    ("fundamental", "--trials", "5"),
+    ("envelope", "--nmax", "5"),
+    ("luxemburg", "--n", "5"),
+    ("sign", "--grid", "5"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, flag, value", REJECTED_FLAGS, ids=[f"{s}:{f}" for s, f, _ in REJECTED_FLAGS]
+)
+def test_flag_the_suite_does_not_take_is_config_error(suite, flag, value, capsys):
+    assert cli.main(["verify", suite, flag, value]) == cli.EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = {"--n": "--nmax"}.get(flag, flag)
+    assert captured.err == f"config error: suite {suite!r} takes no {name}\n"
+
+
+EXIT_CODES = [
+    (cli.EXIT_OK, ["verify", "gg1", "--grid", "5"]),
+    # G1 is strictly inside G: the ratio keeps growing, stabilization 0.096
+    (cli.EXIT_VERIFY_FAILED, ["verify", "theorem1", "--space", "G1", "--nmax", "16",
+                              "--trials", "0"]),
+    (cli.EXIT_INPUT_ERROR, ["norm", "--space", "L1", "--input", "no-such-file.stepfn"]),
+    (cli.EXIT_CONFIG_ERROR, ["verify", "gg1", "--seed", "5"]),
+]
+
+
+@pytest.mark.parametrize("code, args", EXIT_CODES, ids=[str(c) for c, _ in EXIT_CODES])
+def test_exit_code_of_the_module_entry_point(code, args, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "rispaces.cli", *args], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == code
+    assert "Traceback" not in run.stderr

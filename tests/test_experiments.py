@@ -243,6 +243,10 @@ class TestSuitesSmoke:
             assert row["equal_ratio"] == pytest.approx(1.0, rel=1e-10)
         assert rep.passed
 
+    def test_theorem1_random_n_max_is_capped(self):
+        with pytest.raises(ex.ExperimentError, match="random_n_max capped"):
+            ex.theorem1_report(random_n_max=25)
+
     def test_theorem1_l1_equal_four(self):
         rep = ex.theorem1_report(sp.lp_space(1.0), n_max=4, trials=0)
         assert rep.rows[3]["equal_ratio"] == pytest.approx(0.75, rel=1e-14)
@@ -255,7 +259,7 @@ class TestSuitesSmoke:
         assert ex.hinge_sandwich_report(trials=30, oracle_instances=5).passed
         assert ex.rearrangement_report(trials=200).passed
         assert ex.luxemburg_report(trials=50, grid=20).passed
-        assert ex.g_g1_indicator_comparison(grid_size=40).passed
+        assert ex.g_g1_indicator_comparison(grid=40).passed
 
     def test_determinism_same_seed(self):
         a = ex.derandomization_report(trials=8, n_max=4, seed=11).to_json()

@@ -309,6 +309,21 @@ class TestTinyNorms:
         with pytest.raises(ol.OrliczError, match="never exceeds 1"):
             ol.luxemburg_norm_max(np.array([[1.0, 0.0]]), f.lengths, phi)
 
+    @pytest.mark.parametrize("desc", ["power:1", "power:2", "power:3", "hinge:1"])
+    def test_overflow_up_to_the_norm_raises(self, desc):
+        # on intervals shorter than 1/DBL_MAX, Phi(1/lam) is inf below the
+        # overflow threshold, which the root find used to return as the norm
+        phi = ol.parse_orlicz(desc)
+        for t in (1e-310, 1e-320, 5e-324):
+            f = sf.indicator(t)
+            with pytest.raises(ol.OrliczError, match="overflows"):
+                ol.luxemburg_norm(f, phi)
+            with pytest.raises(ol.OrliczError, match="overflows"):
+                ol.luxemburg_norm_max(np.array([[1.0, 0.0], [0.5, 0.0]]), f.lengths, phi)
+        want = {"power:1": 1e-308, "power:2": 1e-154, "power:3": 1e-308 ** (1.0 / 3.0),
+                "hinge:1": 1e-308}[desc]
+        assert ol.luxemburg_norm(sf.indicator(1e-308), phi) == pytest.approx(want, rel=1e-12)
+
 
 def _counting(phi, dphi):
     """(Phi, calls): `phi` with a count of its evaluations in calls[0], and

@@ -115,6 +115,13 @@ class TestFundamentalFunction:
                 sp.fundamental_function(E_generic, t), rel=1e-9
             )
 
+    def test_closed_form_disagreement_is_an_error(self):
+        # phi(0+) = 0.5: the closed form phi(t) reads 0.50005 at t = 1e-4,
+        # where the generic Stieltjes sum gives 5e-5
+        E = sp.lorentz_space(wt.custom_weight(lambda t: 0.5 + 0.5 * t, "affine"))
+        with pytest.raises(sp.SpaceError, match="disagrees with generic"):
+            sp.fundamental_function(E, 0.5)
+
 
 class TestEnvelopeWeight:
     def test_lp2_envelope_is_sqrt(self):
