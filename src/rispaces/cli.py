@@ -7,7 +7,8 @@ Subcommands:
     verify      run a named verification suite and write its report
 
 Exit codes: 0 ok / verified, 1 verification failed, 2 input error,
-3 configuration error. Reports are deterministic for a fixed seed.
+3 configuration error (a usage error included). Reports are deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -29,15 +30,23 @@ EXIT_INPUT_ERROR = 2
 EXIT_CONFIG_ERROR = 3
 
 _CONFIG_ERRORS = (SpaceError, WeightError, OrliczError, RademacherError,
-                  _experiments.ExperimentError)
+                  _experiments.ExperimentError, argparse.ArgumentError)
 
 # verify flag -> the suite keyword it sets; a suite takes a flag when its
 # signature has the keyword, and the signature's default applies without it
 _SUITE_FLAGS = {"seed": "seed", "trials": "trials", "space": "E", "nmax": "n_max", "grid": "grid"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, which `main` reports as a configuration error,
+    instead of exiting with argparse's code 2, the input-error code here."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rispaces",
         description="Norms, rearrangements, and verification suites for "
         "rearrangement-invariant spaces on [0,1].",
@@ -95,9 +104,8 @@ def _emit(text: str, out_path) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "norm":
             f = _stepfn.read_stepfn(args.input)
             space = parse_space(args.space)

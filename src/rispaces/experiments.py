@@ -56,7 +56,6 @@ __all__ = [
     "random_indicator_function",
     "sign_bruteforce",
     "derandomized_signs",
-    "orlicz_sign_inequality",
     "theorem1_report",
     "envelope_lemma_check",
     "g1_chain_check",
@@ -191,7 +190,14 @@ def _random_breaks(rng, max_plateaus: int) -> np.ndarray:
     """Breakpoints of a random step function: a plateau count in
     [1, max_plateaus], then sorted uniform inner points."""
     k = int(rng.integers(1, max_plateaus + 1))
-    inner = np.unique(rng.uniform(0.0, 1.0, size=k - 1))
+    breaks = np.empty(k + 1)
+    breaks[0], breaks[k] = 0.0, 1.0
+    breaks[1:k] = rng.uniform(0.0, 1.0, size=k - 1)
+    breaks[1:k].sort()
+    if (breaks[1:] > breaks[:-1]).all():
+        return breaks
+    # a draw of 0.0 or a repeated draw: drop it
+    inner = np.unique(breaks[1:k])
     inner = inner[(inner > 0.0) & (inner < 1.0)]
     return np.concatenate(([0.0], inner, [1.0]))
 
@@ -203,7 +209,9 @@ def random_step_function(rng, max_plateaus: int = 10) -> StepFunction:
     vals = rng.uniform(-1.0, 1.0, size=len(breaks) - 1)
     spikes = rng.random(len(vals)) < _SPIKE_PROB
     vals[spikes] *= _SPIKE_SCALE
-    return StepFunction(breaks, vals)
+    if (vals[1:] == vals[:-1]).any():
+        return StepFunction(breaks, vals)  # merges the equal neighbours
+    return StepFunction._canonical(breaks, vals)
 
 
 def random_indicator_function(rng, max_plateaus: int = 10) -> StepFunction:
@@ -225,8 +233,10 @@ def _random_unit_vector(rng, n: int) -> np.ndarray:
 
 def _refinement_matrix(xs):
     breaks = common_breakpoints(xs)
-    X = np.vstack([values_on(x, breaks) for x in xs])
-    return breaks, np.diff(breaks), X
+    X = np.empty((len(xs), len(breaks) - 1))
+    for row, x in zip(X, xs):
+        row[:] = values_on(x, breaks)
+    return breaks, breaks[1:] - breaks[:-1], X
 
 
 def _half_sign_sums(xs):
@@ -327,22 +337,6 @@ def _sign_instance(xs, phi: _orlicz.OrliczFunction) -> dict:
         row["ave_eps_modular"] = 0.0
         row["chain_ok"] = True
     return row
-
-
-def orlicz_sign_inequality(xs, phi: _orlicz.OrliczFunction) -> ExperimentReport:
-    """Verify sup_eps ||sum eps_i x_i||_Phi >= ||sum r_i ||x_i||_1||_Phi
-    (constant exactly 1) for one instance, by exhaustive sign search."""
-    row = _sign_instance(xs, phi)
-    return ExperimentReport(
-        name="orlicz_sign_inequality",
-        params={"n": len(xs), "phi": phi.descriptor, "slack": INEQ_SLACK},
-        rows=[row],
-        summary={
-            "pass": row["pass"] and row["chain_ok"],
-            "margin": row["margin"],
-            "tolerances": {"inequality_slack": INEQ_SLACK},
-        },
-    )
 
 
 # --- suites ---------------------------------------------------------------

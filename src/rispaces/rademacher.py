@@ -78,6 +78,11 @@ def _atoms_to_step(values_desc: np.ndarray, counts, denominator: int) -> StepFun
     breaks = np.zeros(len(counts) + 1)
     np.divide(np.cumsum(counts, dtype=np.int64), float(denominator), out=breaks[1:])
     breaks[-1] = 1.0
+    # cum/2^n is exact up to n = 53, so positive counts give strictly
+    # increasing breakpoints; strictly decreasing finite values are then canonical
+    if (denominator <= 1 << 53 and np.isfinite(values_desc).all()
+            and (values_desc[1:] < values_desc[:-1]).all()):
+        return StepFunction._canonical(breaks, values_desc)
     return StepFunction(breaks, values_desc)
 
 
@@ -111,7 +116,8 @@ def sum_rearrangement(coeffs: Sequence[float]) -> StepFunction:
     # eps_0 = +1 carry the distribution; starting at a[0] keeps the order
     sums = np.abs(_kernel.enumerate_signed_sums(a[1:], start=a[0]))
     values, counts = np.unique(sums, return_counts=True)
-    return _atoms_to_step(values[::-1], counts[::-1], 1 << (n - 1))
+    # copied: the atoms keep the contiguous layout the validating constructor gave them
+    return _atoms_to_step(values[::-1].copy(), counts[::-1], 1 << (n - 1))
 
 
 def rademacher_sum_norm(coeffs: Sequence[float], E: SpaceSpec) -> float:

@@ -29,19 +29,14 @@ __all__ = [
     "partial_integral",
     "stieltjes",
     "l1_norm",
-    "l2_norm",
     "lp_norm",
     "lp_norm_rows",
     "linf_norm",
-    "measure_above",
     "common_breakpoints",
     "values_on",
-    "linear_combination",
-    "multiply",
     "parse_stepfn",
     "format_stepfn",
     "read_stepfn",
-    "write_stepfn",
 ]
 
 
@@ -104,6 +99,21 @@ class StepFunction:
         object.__setattr__(self, "breakpoints", b)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _canonical(cls, breaks: np.ndarray, values: np.ndarray) -> "StepFunction":
+        """Wrap float64 arrays the caller has proved canonical, without checks.
+
+        The breakpoints must rise strictly from 0 to 1 and the values must be
+        finite with no two neighbours equal: exactly what `__post_init__`
+        would return unchanged. Both arrays are made read-only, not copied.
+        """
+        breaks.flags.writeable = False
+        values.flags.writeable = False
+        f = object.__new__(cls)
+        object.__setattr__(f, "breakpoints", breaks)
+        object.__setattr__(f, "values", values)
+        return f
+
     @property
     def k(self) -> int:
         return len(self.values)
@@ -111,7 +121,8 @@ class StepFunction:
     @functools.cached_property
     def lengths(self) -> np.ndarray:
         """Interval lengths, computed once per instance and read-only."""
-        lengths = np.diff(self.breakpoints)
+        b = self.breakpoints
+        lengths = b[1:] - b[:-1]  # np.diff, bit for bit, without its overhead
         lengths.flags.writeable = False
         return lengths
 
@@ -257,18 +268,8 @@ def _lp_of_abs(a: np.ndarray, p: float, power_sum):
     return np.where(redo, scaled, norm)
 
 
-def l2_norm(f: StepFunction) -> float:
-    return lp_norm(f, 2.0)
-
-
 def linf_norm(f: StepFunction) -> float:
     return float(np.max(np.abs(f.values)))
-
-
-def measure_above(f: StepFunction, c: float) -> float:
-    """Lebesgue measure of the set {|f| > c}."""
-    mask = np.abs(f.values) > c
-    return math.fsum(f.lengths[mask])
 
 
 def common_breakpoints(fns: Iterable[StepFunction]) -> np.ndarray:
@@ -279,30 +280,13 @@ def common_breakpoints(fns: Iterable[StepFunction]) -> np.ndarray:
 
 
 def values_on(f: StepFunction, breaks: np.ndarray) -> np.ndarray:
-    """Values of f on each cell of a refinement of its own breakpoints."""
-    mids = (breaks[:-1] + breaks[1:]) / 2.0
-    idx = np.searchsorted(f.breakpoints[1:], mids, side="left")
-    return f.values[idx]
+    """Values of f on each cell of a refinement of its own breakpoints.
 
-
-def linear_combination(fns: Sequence[StepFunction], coeffs: Sequence[float]) -> StepFunction:
-    """Pointwise sum of coeffs[i] * fns[i] on the common refinement.
-
-    Accumulates left to right, so the floating-point result matches a direct
-    running sum in the same order.
+    A cell lies in the interval of f whose right end is the first breakpoint
+    of f at or after the cell's right end. (A midpoint can round onto the
+    left end of a cell whose ends are adjacent doubles.)
     """
-    if len(fns) != len(coeffs) or not fns:
-        raise StepFunctionError("need equally many functions and coefficients")
-    breaks = common_breakpoints(fns)
-    vals = np.zeros(len(breaks) - 1)
-    for f, c in zip(fns, coeffs):
-        vals = vals + float(c) * values_on(f, breaks)
-    return StepFunction(breaks, vals)
-
-
-def multiply(f: StepFunction, g: StepFunction) -> StepFunction:
-    breaks = common_breakpoints([f, g])
-    return StepFunction(breaks, values_on(f, breaks) * values_on(g, breaks))
+    return f.values[np.searchsorted(f.breakpoints[1:], breaks[1:], side="left")]
 
 
 # --- `stepfn v1` text format -------------------------------------------------
@@ -353,8 +337,3 @@ def format_stepfn(f: StepFunction) -> str:
 def read_stepfn(path) -> StepFunction:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_stepfn(fh.read())
-
-
-def write_stepfn(f: StepFunction, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_stepfn(f))

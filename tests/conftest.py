@@ -1,11 +1,20 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from rispaces.stepfn import StepFunction, step_function
+from rispaces.stepfn import (
+    StepFunction,
+    StepFunctionError,
+    common_breakpoints,
+    format_stepfn,
+    lp_norm,
+    step_function,
+    values_on,
+)
 
 # The tests must not depend on examples saved by earlier runs, so there is
 # no example database; a case that has to be replayed is pinned with @example.
@@ -64,6 +73,65 @@ def signed_sums(coeffs, start=0.0):
             acc = acc + e * a
         sums.append(acc)
     return np.array(sums, dtype=np.float64)
+
+
+# --- step-function helpers that only the tests use ---------------------------
+
+
+def l2_norm(f):
+    return lp_norm(f, 2.0)
+
+
+def measure_above(f, c):
+    """Lebesgue measure of the set {|f| > c}."""
+    mask = np.abs(f.values) > c
+    return math.fsum(f.lengths[mask])
+
+
+def linear_combination(fns, coeffs):
+    """Pointwise sum of coeffs[i] * fns[i] on the common refinement.
+
+    Accumulates left to right, so the floating-point result matches a direct
+    running sum in the same order.
+    """
+    if len(fns) != len(coeffs) or not fns:
+        raise StepFunctionError("need equally many functions and coefficients")
+    breaks = common_breakpoints(fns)
+    vals = np.zeros(len(breaks) - 1)
+    for f, c in zip(fns, coeffs):
+        vals = vals + float(c) * values_on(f, breaks)
+    return StepFunction(breaks, vals)
+
+
+def multiply(f, g):
+    breaks = common_breakpoints([f, g])
+    return StepFunction(breaks, values_on(f, breaks) * values_on(g, breaks))
+
+
+def write_stepfn(f, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_stepfn(f))
+
+
+def assert_same_step_function(f, g):
+    """f and g hold the same float64 bits, in read-only arrays."""
+    for a, b in ((f.breakpoints, g.breakpoints), (f.values, g.values)):
+        assert a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+        assert not a.flags.writeable and not b.flags.writeable
+
+
+def validating_canonical(monkeypatch):
+    """Replace `StepFunction._canonical` by the validating constructor;
+    returns the list that records each call."""
+    calls = []
+
+    def validating(cls, breaks, values):
+        calls.append(len(values))
+        return cls(breaks, values)
+
+    monkeypatch.setattr(StepFunction, "_canonical", classmethod(validating))
+    return calls
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rispaces
+from conftest import write_stepfn
 from rispaces import cli
 from rispaces import stepfn as sf
 
@@ -17,14 +18,14 @@ SRC = str(Path(rispaces.__file__).resolve().parents[1])
 @pytest.fixture
 def const1(tmp_path):
     p = tmp_path / "const1.stepfn"
-    sf.write_stepfn(sf.constant(1.0), p)
+    write_stepfn(sf.constant(1.0), p)
     return str(p)
 
 
 @pytest.fixture
 def ind_quarter(tmp_path):
     p = tmp_path / "ind_quarter.stepfn"
-    sf.write_stepfn(sf.indicator(0.25), p)
+    write_stepfn(sf.indicator(0.25), p)
     return str(p)
 
 
@@ -74,7 +75,7 @@ class TestRearrangeAndRademacher:
     def test_rearrange_roundtrip(self, tmp_path):
         src = tmp_path / "f.stepfn"
         dst = tmp_path / "r.stepfn"
-        sf.write_stepfn(sf.step_function([0, 0.2, 0.5, 1], [1.0, 4.0, 2.0]), src)
+        write_stepfn(sf.step_function([0, 0.2, 0.5, 1], [1.0, 4.0, 2.0]), src)
         assert cli.main(["rearrange", "--input", str(src), "--out", str(dst)]) == cli.EXIT_OK
         r = sf.read_stepfn(dst)
         assert list(r.values) == [4.0, 2.0, 1.0]
@@ -170,6 +171,7 @@ DEGENERATE_FLAGS = [
     ("hinge", ["--seed", "-1"]),
     ("sign", ["--n", "21"]),
     ("theorem1", ["--nmax", "61"]),
+    ("theorem1", ["--n", "x"]),  # rejected by argparse
 ]
 
 
@@ -209,17 +211,18 @@ def test_flag_the_suite_does_not_take_is_config_error(suite, flag, value, capsys
     assert captured.err == f"config error: suite {suite!r} takes no {name}\n"
 
 
-EXIT_CODES = [
-    (cli.EXIT_OK, ["verify", "gg1", "--grid", "5"]),
+EXIT_CODES = {
+    "0": (cli.EXIT_OK, ["verify", "gg1", "--grid", "5"]),
     # G1 is strictly inside G: the ratio keeps growing, stabilization 0.096
-    (cli.EXIT_VERIFY_FAILED, ["verify", "theorem1", "--space", "G1", "--nmax", "16",
-                              "--trials", "0"]),
-    (cli.EXIT_INPUT_ERROR, ["norm", "--space", "L1", "--input", "no-such-file.stepfn"]),
-    (cli.EXIT_CONFIG_ERROR, ["verify", "gg1", "--seed", "5"]),
-]
+    "1": (cli.EXIT_VERIFY_FAILED, ["verify", "theorem1", "--space", "G1", "--nmax", "16",
+                                   "--trials", "0"]),
+    "2": (cli.EXIT_INPUT_ERROR, ["norm", "--space", "L1", "--input", "no-such-file.stepfn"]),
+    "3": (cli.EXIT_CONFIG_ERROR, ["verify", "gg1", "--seed", "5"]),
+    "3-usage": (cli.EXIT_CONFIG_ERROR, ["verify", "theorem1", "--n", "x"]),
+}
 
 
-@pytest.mark.parametrize("code, args", EXIT_CODES, ids=[str(c) for c, _ in EXIT_CODES])
+@pytest.mark.parametrize("code, args", list(EXIT_CODES.values()), ids=list(EXIT_CODES))
 def test_exit_code_of_the_module_entry_point(code, args, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")]))}

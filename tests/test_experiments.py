@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sign_vectors, signed_sums
+from conftest import (
+    assert_same_step_function,
+    sign_vectors,
+    signed_sums,
+    validating_canonical,
+)
 from rispaces import experiments as ex
 from rispaces import orlicz as ol
 from rispaces import spaces as sp
@@ -31,6 +36,78 @@ class TestReportPlumbing:
     def test_text_has_verdict(self):
         rep = ex.ExperimentReport("demo", {}, summary={"pass": False})
         assert rep.to_text().rstrip().endswith("FAIL")
+
+
+def _reference_step_function(rng, max_plateaus):
+    """`random_step_function` with every draw merged by np.unique and the
+    validating constructor."""
+    k = int(rng.integers(1, max_plateaus + 1))
+    breaks = _reference_breaks(rng.uniform(0.0, 1.0, size=k - 1))
+    vals = rng.uniform(-1.0, 1.0, size=len(breaks) - 1)
+    spikes = rng.random(len(vals)) < ex._SPIKE_PROB
+    vals[spikes] *= ex._SPIKE_SCALE
+    return sf.StepFunction(breaks, vals)
+
+
+def _reference_breaks(draws):
+    inner = np.unique(draws)
+    inner = inner[(inner > 0.0) & (inner < 1.0)]
+    return np.concatenate(([0.0], inner, [1.0]))
+
+
+class _ScriptedRng:
+    """Stands in for a Generator: `integers` returns k, each `uniform` the
+    next scripted draws, and `random` ones (so no spikes)."""
+
+    def __init__(self, k, *uniforms):
+        self.k, self.uniforms = k, list(uniforms)
+
+    def integers(self, low, high):
+        return self.k
+
+    def uniform(self, low, high, size):
+        draws = np.array(self.uniforms.pop(0), dtype=np.float64)
+        assert draws.shape == (size,)
+        return draws
+
+    def random(self, size):
+        return np.ones(size)
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("max_plateaus", [1, 2, 10])
+    def test_random_step_function_matches_validating_constructor(self, max_plateaus):
+        for seed in range(300):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                f = ex.random_step_function(rng, max_plateaus)
+                assert_same_step_function(f, _reference_step_function(ref, max_plateaus))
+
+    @pytest.mark.parametrize("draws", [
+        [0.5, 0.0, 0.25, 0.5],  # a zero and a repeat
+        [0.0],
+        [0.75, 0.75, 0.75],
+        [0.0, 0.0, 0.3],
+    ])
+    def test_random_breaks_fallback_matches_unique(self, draws):
+        got = ex._random_breaks(_ScriptedRng(len(draws) + 1, draws), 10)
+        assert got.tobytes() == _reference_breaks(np.array(draws)).tobytes()
+
+    def test_equal_neighbouring_values_are_merged(self):
+        rng = _ScriptedRng(4, [0.6, 0.2, 0.4], [0.5, 0.5, -0.25, -0.25])
+        f = ex.random_step_function(rng)
+        assert list(f.breakpoints) == [0.0, 0.4, 1.0]
+        assert list(f.values) == [0.5, -0.25]
+
+    def test_sign_suites_unchanged_with_validation(self, monkeypatch):
+        def reports():
+            return (ex.sign_selection_report(trials=30, n_max=5, seed=3).to_json(),
+                    ex.derandomization_report(trials=20, n_max=6, seed=7).to_json())
+
+        fast = reports()
+        calls = validating_canonical(monkeypatch)
+        assert reports() == fast
+        assert len(calls) > 100
 
 
 class TestSignBruteforce:
@@ -213,17 +290,15 @@ class TestSingleInequality:
     def test_disjoint_indicators_power2(self):
         x1 = sf.indicator(0.5)
         x2 = sf.step_function([0, 0.5, 1], [0.0, 1.0])
-        rep = ex.orlicz_sign_inequality([x1, x2], ol.power(2.0))
-        row = rep.rows[0]
+        row = ex._sign_instance([x1, x2], ol.power(2.0))
         assert row["lhs"] == pytest.approx(1.0, rel=1e-11)
         assert row["rhs"] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-11)
-        assert rep.passed
+        assert row["pass"] and row["chain_ok"]
 
     def test_constant_single_function_equality(self):
-        rep = ex.orlicz_sign_inequality([sf.constant(2.0)], ol.exp_square())
-        row = rep.rows[0]
+        row = ex._sign_instance([sf.constant(2.0)], ol.exp_square())
         assert row["lhs"] == pytest.approx(row["rhs"], rel=1e-10)
-        assert rep.passed
+        assert row["pass"] and row["chain_ok"]
 
 
 class TestSuitesSmoke:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import signed_sums, step_functions
+from conftest import linear_combination, signed_sums, step_functions
 from rispaces import experiments as ex
 from rispaces import orlicz as ol
 from rispaces import spaces as sp
@@ -149,7 +149,7 @@ class TestLuxemburgNorm:
     @settings(max_examples=60, deadline=None)
     def test_triangle(self, f, g):
         phi = ol.exp_square()
-        h = sf.linear_combination([f, g], [1.0, 1.0])
+        h = linear_combination([f, g], [1.0, 1.0])
         assert ol.luxemburg_norm(h, phi) <= (
             ol.luxemburg_norm(f, phi) + ol.luxemburg_norm(g, phi) + 1e-9
         )

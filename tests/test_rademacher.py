@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import signed_sums
+from conftest import (
+    assert_same_step_function,
+    linear_combination,
+    multiply,
+    signed_sums,
+    validating_canonical,
+)
 from rispaces import rademacher as rd
 from rispaces import stepfn as sf
 from rispaces import spaces as sp
@@ -28,7 +34,7 @@ class TestRademacherFunctions:
             assert sf.integral(rd.rademacher(n)) == 0.0
 
     def test_orthogonality(self):
-        prod = sf.multiply(rd.rademacher(3), rd.rademacher(5))
+        prod = multiply(rd.rademacher(3), rd.rademacher(5))
         assert sf.integral(prod) == 0.0
 
     def test_rejects_out_of_range(self):
@@ -68,7 +74,7 @@ class TestSignedSum:
         coeffs = [0.7, -1.3, 2.1]
         signs = [1, -1, 1]
         fns = [rd.rademacher(i + 1) for i in range(3)]
-        want = sf.linear_combination(fns, [s * c for s, c in zip(signs, coeffs)])
+        want = linear_combination(fns, [s * c for s, c in zip(signs, coeffs)])
         assert rd.signed_sum(coeffs, signs) == want
 
 
@@ -125,6 +131,28 @@ class TestSumRearrangement:
         assert np.allclose(
             sf.values_on(base, breaks), sf.values_on(perm, breaks), atol=1e-12
         )
+
+    def test_enumerated_atoms_match_validating_constructor(self, rng, monkeypatch):
+        cases = [rng.normal(size=n) for n in (2, 5, 9, 13)]
+        # integer coefficients: many sums coincide and are merged into one atom
+        cases += [rng.integers(-3, 4, size=n).astype(float) for n in (3, 7, 12)]
+        cases += [np.array([1.0, -1.0]), np.array([0.0, 2.0, 0.0])]
+        fast = [rd.sum_rearrangement(a) for a in cases]
+        calls = validating_canonical(monkeypatch)
+        for a, f in zip(cases, fast):
+            assert_same_step_function(f, rd.sum_rearrangement(a))
+        assert len(calls) == len(cases)
+
+    def test_binomial_zero_coefficients_give_one_atom(self, monkeypatch):
+        calls = validating_canonical(monkeypatch)
+        for n in (1, 2, 7, 60):
+            r = rd.sum_rearrangement([0.0] * n)
+            assert list(r.breakpoints) == [0.0, 1.0]
+            assert list(r.values) == [0.0]
+            assert_same_step_function(r, sf.constant(0.0))
+        # only n = 1 is canonical as built; for n >= 2 the values 0.0 repeat
+        # and go through the validating constructor, which merges them
+        assert calls == [1]
 
     def test_caps(self):
         with pytest.raises(rd.RademacherError):

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import moderate_functions, step_functions
+from conftest import (
+    l2_norm,
+    linear_combination,
+    measure_above,
+    moderate_functions,
+    multiply,
+    step_functions,
+    write_stepfn,
+)
 from rispaces import stepfn as sf
 
 
@@ -79,11 +87,11 @@ class TestRearrange:
         r = sf.rearrange(f)
         for c in np.abs(f.values):
             if c > 0:
-                assert sf.measure_above(f, c) == pytest.approx(
-                    sf.measure_above(r, c), abs=1e-12
+                assert measure_above(f, c) == pytest.approx(
+                    measure_above(r, c), abs=1e-12
                 )
-            assert sf.measure_above(f, c * 0.999 + 1e-9) == pytest.approx(
-                sf.measure_above(r, c * 0.999 + 1e-9), abs=1e-12
+            assert measure_above(f, c * 0.999 + 1e-9) == pytest.approx(
+                measure_above(r, c * 0.999 + 1e-9), abs=1e-12
             )
 
     @given(step_functions())
@@ -168,7 +176,7 @@ class TestNorms:
 
     def test_l2_three_piece(self):
         f = F([0, 0.2, 0.5, 1], [1.0, 4.0, 2.0])
-        assert sf.l2_norm(f) == pytest.approx(math.sqrt(7.0), abs=1e-14)
+        assert l2_norm(f) == pytest.approx(math.sqrt(7.0), abs=1e-14)
 
     def test_rejects_p_below_one(self):
         with pytest.raises(sf.StepFunctionError):
@@ -209,21 +217,30 @@ class TestCombination:
     def test_linear_combination(self):
         f = sf.indicator(0.5)
         g = F([0, 0.25, 1], [0.0, 1.0])
-        h = sf.linear_combination([f, g], [2.0, -1.0])
+        h = linear_combination([f, g], [2.0, -1.0])
         assert h(0.2) == 2.0
         assert h(0.4) == 1.0
         assert h(0.9) == -1.0
 
+    def test_values_on_cell_between_adjacent_doubles(self):
+        # the midpoint of (0.1, nextafter(0.1)] rounds down onto 0.1
+        up = np.nextafter(0.1, 1.0)
+        f = F([0, 0.1, 1], [1.0, 2.0])
+        assert list(sf.values_on(f, np.array([0.0, 0.1, up, 1.0]))) == [1.0, 2.0, 2.0]
+        h = linear_combination([f, F([0, up, 1], [0.0, 1.0])], [1.0, 1.0])
+        assert list(h.breakpoints) == [0.0, 0.1, up, 1.0]
+        assert list(h.values) == [1.0, 2.0, 3.0]
+
     def test_multiply(self):
         f = sf.indicator(0.5)
-        assert sf.integral(sf.multiply(f, f)) == 0.5
+        assert sf.integral(multiply(f, f)) == 0.5
 
 
 class TestFileFormat:
     def test_roundtrip(self, tmp_path):
         f = F([0, 0.2, 0.5, 1], [1.0, 4.0, 2.0])
         path = tmp_path / "f.stepfn"
-        sf.write_stepfn(f, path)
+        write_stepfn(f, path)
         assert sf.read_stepfn(path) == f
 
     def test_missing_header(self):
