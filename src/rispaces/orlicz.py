@@ -2,14 +2,17 @@
 
 The Luxemburg norm of f is inf{lam > 0 : integral Phi(f/lam) <= 1}. One
 solver computes it: `luxemburg_norm_max` finds the largest norm among rows
-of values on one partition, and `luxemburg_norm` is its one-row case. The
-modular is continuous and non-increasing in lam for step functions and
-finite-valued Phi, so the norm is bracketed by doubling or halving (or by
-bisection on the binary exponent, where those do not reach it), and the
-bracket is closed to 1e-12 relative. Where Phi comes with its derivative
-(every catalog Phi), Newton's method in mu = 1/lam closes it, in which the
-modular M(mu) = sum_i l_i Phi(mu |v_i|) is convex and increasing; bisection
-finishes the job and stands in wherever Newton cannot run.
+of values on one partition, and `luxemburg_norm` is its one-row case. For
+Phi(s) = |s|^p the modular is lam^(-p) integral |f|^p, so the norm is the Lp
+norm: the solver takes it in closed form and only checks the modular there.
+Otherwise it searches: the modular is continuous and non-increasing in lam
+for step functions and finite-valued Phi, so the norm is bracketed by
+doubling or halving (or by bisection on the binary exponent, where those do
+not reach it), and the bracket is closed to 1e-12 relative. Where Phi
+comes with its derivative (every catalog Phi), Newton's method in
+mu = 1/lam closes it, in which the modular M(mu) = sum_i l_i Phi(mu |v_i|)
+is convex and increasing; bisection finishes the job and stands in
+wherever Newton cannot run.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .stepfn import StepFunction
+from .stepfn import StepFunction, lp_norm_rows
 
 __all__ = [
     "OrliczFunction",
@@ -60,7 +63,8 @@ class OrliczFunction:
     `fn` must accept numpy arrays. The descriptor string round-trips through
     the CLI (`exp2`, `power:p`, `hinge:a`, `custom`). The optional `dphi`
     lets the Luxemburg norm use Newton's method; it only proposes points, so
-    an inexact one costs evaluations, not accuracy.
+    an inexact one costs evaluations, not accuracy. `p` is set by `power`
+    alone: Phi is |s|^p, and the Luxemburg norm is the Lp norm.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -69,6 +73,7 @@ class OrliczFunction:
     dphi: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
         default=None, repr=False
     )
+    p: Optional[float] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _validate(self.fn, self.descriptor)
@@ -117,6 +122,8 @@ def exp_square() -> OrliczFunction:
 
 
 def power(p: float) -> OrliczFunction:
+    """Phi(s) = |s|^p, whose Luxemburg norm is the Lp norm; the returned Phi
+    records p, which `luxemburg_norm_max` uses in place of a root find."""
     if p < 1.0:
         raise OrliczError(f"power exponent must be >= 1, got {p}")
 
@@ -126,7 +133,9 @@ def power(p: float) -> OrliczFunction:
         y *= p
         return y
 
-    return OrliczFunction(lambda s: np.abs(s) ** p, f"power:{p:g}", dphi)
+    phi = OrliczFunction(lambda s: np.abs(s) ** p, f"power:{p:g}", dphi)
+    object.__setattr__(phi, "p", float(p))
+    return phi
 
 
 def hinge(a: float) -> OrliczFunction:
@@ -178,8 +187,8 @@ def _slope(phi: OrliczFunction, s: np.ndarray, y: np.ndarray, lengths: np.ndarra
 
 def luxemburg_norm(f: StepFunction, phi: OrliczFunction) -> float:
     """inf{lam : modular(f, phi, lam) <= 1} by bracketing, then Newton's method
-    in mu = 1/lam (when phi has a `dphi`) and bisection: the one-row case of
-    `luxemburg_norm_max`.
+    in mu = 1/lam (when phi has a `dphi`) and bisection, or in closed form for
+    a power phi: the one-row case of `luxemburg_norm_max`.
 
     The returned lam satisfies modular(lam) <= 1, and modular(lam * (1-1e-9))
     exceeds 1 unless the bracket closed onto a flat stretch below 1e-12
@@ -198,10 +207,16 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
     where the maximum exceeds 1, a row whose modular is <= 1 has norm <= lam,
     below the largest norm, so it is dropped for good; the rows that survive
     all have norms within the root finder's tolerance of the largest one, and
-    the first of them is returned (ties go to the lowest index). An all-zero
-    input gives (0, 0.0). Where Phi(v/lam) overflows to inf up to the norm
-    (intervals shorter than about 1/DBL_MAX), the root found is the overflow
-    threshold, not the norm, and OrliczError is raised.
+    the first of them is returned (ties go to the lowest index).
+
+    For a power Phi (`phi.p` set) the norm is the largest of the rows' Lp
+    norms, and the index is the lowest row of largest Lp norm. That lam, or
+    lam (1 + _PROBE) where rounding reads the modular above 1, is returned
+    once the modular is checked to be <= 1 there; otherwise the root find
+    runs as for any Phi. An all-zero input gives (0, 0.0). Where Phi(v/lam)
+    overflows to inf up to the norm (intervals shorter than about
+    1/DBL_MAX), the root found is the overflow threshold, not the norm, and
+    OrliczError is raised.
     """
     values = np.asarray(values, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.float64)
@@ -231,10 +246,31 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
         return largest
 
     with np.errstate(over="ignore"):
-        norm = _find_root(max_modular, top, phi.dphi is not None)
+        found = None
+        if phi.p is not None:
+            found = _lp_norm_checked(live, rows, lengths, phi.p, max_modular)
+        if found is None:
+            norm = _find_root(max_modular, top, phi.dphi is not None)
+            found = int(live[0]), norm  # after the root find, which prunes `live`
+    index, norm = found
     if norm <= overflow * (1.0 + 2.0 * BISECT_RTOL):
         raise OrliczError(f"Phi(f/lam) overflows up to the norm, near {norm:.6g}")
-    return int(live[0]), norm
+    return index, norm
+
+
+def _lp_norm_checked(live, rows, lengths, p: float, mod):
+    """(live[j], lam) for the lowest row j of `rows` of largest Lp norm: lam is
+    that norm or, where rounding reads mod(lam) above 1, lam (1 + _PROBE).
+    None where mod exceeds 1 at both or the norm is not a positive double."""
+    norms = lp_norm_rows(rows, lengths, p)
+    j = int(norms.argmax())
+    lam = float(norms[j])
+    if not 0.0 < lam < math.inf:
+        return None
+    for x in (lam, min(lam * (1.0 + _PROBE), _DBL_MAX)):
+        if mod(x) <= 1.0:
+            return int(live[j]), x
+    return None
 
 
 def _find_root(mod, lam: float, newton: bool) -> float:

@@ -176,6 +176,8 @@ def _closed_form_fundamental(E: SpaceSpec, t: np.ndarray):
         return t / E.weight(t)
     if E.kind in ("lp", "linf"):
         return t ** (1.0 / E.p)
+    if E.kind == "orlicz" and E.phi.p is not None:  # Phi = |s|^p: the Lp norm
+        return t ** (1.0 / E.phi.p)
     if E.kind == "orlicz" and E.phi.descriptor == "exp2":
         return 1.0 / np.sqrt(np.log1p(1.0 / t))
     return None

@@ -53,9 +53,10 @@ class ParseError(StepFunctionError):
 
 
 def _canonicalize(breaks: np.ndarray, values: np.ndarray):
-    """Merge adjacent intervals carrying equal values."""
+    """Merge adjacent intervals carrying equal values, into new arrays (the
+    constructor freezes them, so they must not be the caller's)."""
     if len(values) <= 1:
-        return breaks, values
+        return breaks.copy(), values.copy()
     changed = values[1:] != values[:-1]
     keep_right = np.append(changed, True)        # right endpoints of runs
     keep_value = np.concatenate(([True], changed))

@@ -222,11 +222,23 @@ EXIT_CODES = {
 }
 
 
-@pytest.mark.parametrize("code, args", list(EXIT_CODES.values()), ids=list(EXIT_CODES))
-def test_exit_code_of_the_module_entry_point(code, args, tmp_path):
+def _run_module(module, args, cwd):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-m", "rispaces.cli", *args], cwd=tmp_path,
-                         env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", module, *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("code, args", list(EXIT_CODES.values()), ids=list(EXIT_CODES))
+def test_exit_code_of_the_module_entry_point(code, args, tmp_path):
+    run = _run_module("rispaces.cli", args, tmp_path)
     assert run.returncode == code
     assert "Traceback" not in run.stderr
+
+
+def test_package_runs_as_a_module(tmp_path):
+    # `python -m rispaces` is `python -m rispaces.cli`
+    code, args = EXIT_CODES["0"]
+    run = _run_module("rispaces", args, tmp_path)
+    assert run.returncode == code
+    assert json.loads(run.stdout)["experiment"] == "gg1"

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 from fractions import Fraction
 
@@ -493,3 +494,55 @@ class TestExactOracles:
             want = math.fsum(np.abs(f.values) ** p * f.lengths) ** (1.0 / p)
             for got in self._both(f, phi):
                 assert got == pytest.approx(want, rel=1e-12)
+
+
+POWER_PS = (1.0, 2.0, 3.5, 4.0 / 3.0)
+
+
+def _without_p(phi):
+    """The same Phi without its exponent, for which the root finder runs."""
+    return ol.OrliczFunction(phi.fn, phi.descriptor, phi.dphi)
+
+
+class TestPowerClosedForm:
+    """power(p) records p, and its Luxemburg norm is the Lp norm, checked on
+    the modular instead of searched for."""
+
+    def test_no_new_parameter(self):
+        assert list(inspect.signature(ol.OrliczFunction).parameters) == [
+            "fn", "descriptor", "dphi"
+        ]
+        assert ol.power(2.5).p == 2.5
+        assert ol.exp_square().p is None and ol.hinge(1.0).p is None
+        assert _without_p(ol.power(2.0)).p is None
+
+    @pytest.mark.parametrize("p", POWER_PS)
+    @given(
+        xs=st.lists(step_functions(max_pieces=4), min_size=1, max_size=6),
+        scale=st.sampled_from([1.0, 1e150, 1e-150]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_signed_sum_rows(self, p, xs, scale):
+        phi = ol.power(p)
+        _, dl, X = ex._refinement_matrix(xs)
+        S = signed_sums(X) * scale
+        i, norm = ol.luxemburg_norm_max(S, dl, phi)
+        assert i == int(np.argmax(sf.lp_norm_rows(S, dl, p)))
+        if norm == 0.0:
+            assert not S.any()
+            return
+        _, generic = ol.luxemburg_norm_max(S, dl, _without_p(phi))
+        assert abs(norm - generic) <= 1e-12 * generic
+        assert (phi(S / norm) @ dl).max() <= 1.0
+        assert (phi(S / (norm * (1.0 - 1e-9))) @ dl).max() > 1.0
+
+    @pytest.mark.parametrize("p", POWER_PS)
+    def test_at_most_two_phi_evaluations(self, p):
+        base = ol.power(p)
+        phi, calls = _counting(base, base.dphi)
+        object.__setattr__(phi, "p", base.p)  # as power() records it
+        for f in _newton_inputs():
+            calls[0] = 0
+            norm = ol.luxemburg_norm(f, phi)
+            assert calls[0] <= 2
+            assert norm == ol.luxemburg_norm(f, base)

@@ -115,6 +115,18 @@ class TestFundamentalFunction:
                 sp.fundamental_function(E_generic, t), rel=1e-9
             )
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 4.0 / 3.0])
+    def test_orlicz_power_is_the_lp_closed_form(self, p):
+        # t^(1/p), as for Lp, cross-checked once against the generic path
+        from rispaces import orlicz as ol
+
+        E = sp.orlicz_space(ol.power(p))
+        ts = np.geomspace(1e-6, 1.0, 50)
+        assert sp._closed_form_checked(E)
+        assert np.array_equal(sp.fundamental_function(E, ts), ts ** (1.0 / p))
+        generic = [ol.luxemburg_norm(sf.indicator(t), E.phi) for t in ts]
+        assert np.allclose(generic, ts ** (1.0 / p), rtol=1e-12, atol=0.0)
+
     def test_closed_form_disagreement_is_an_error(self):
         # phi(0+) = 0.5: the closed form phi(t) reads 0.50005 at t = 1e-4,
         # where the generic Stieltjes sum gives 5e-5

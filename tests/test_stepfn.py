@@ -50,6 +50,16 @@ class TestConstruction:
         with pytest.raises(sf.StepFunctionError):
             F([0, 1], [math.inf])
 
+    @pytest.mark.parametrize("breaks, vals", [([0.0, 1.0], [2.0]), ([0.0, 0.5, 1.0], [2.0, 1.0])])
+    def test_caller_arrays_stay_writable_and_unshared(self, breaks, vals):
+        b, v = np.array(breaks), np.array(vals)
+        f = sf.StepFunction(b, v)
+        assert b.flags.writeable and v.flags.writeable
+        assert not np.shares_memory(f.breakpoints, b)
+        assert not np.shares_memory(f.values, v)
+        b[-1] = v[0] = 7.0  # the caller may reuse its buffers
+        assert f.breakpoints[-1] == 1.0 and f.values[0] == 2.0
+
     def test_evaluation_right_closed(self):
         f = F([0, 0.5, 1], [3.0, 1.0])
         assert f(0.5) == 3.0
