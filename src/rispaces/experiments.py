@@ -30,22 +30,23 @@ from .spaces import (
     catalog,
     envelope_weight,
     fundamental_function,
-    hinge_family_bound,
-    ri_norm,
+    hinge_family_bounds,
     ri_norm_max,
+    ri_norm_rows,
     space_G,
     space_G1,
 )
 from .stepfn import (
     StepFunction,
+    StepRows,
     common_breakpoints,
     indicator,
     integral,
     l1_norm,
     lp_norm,
     lp_norm_rows,
-    partial_integral,
     rearrange,
+    rearrange_rows,
     values_on,
 )
 
@@ -530,15 +531,17 @@ def envelope_lemma_check(
 
     spaces = {E.name: E} if E is not None else catalog()
     rng = np.random.default_rng(seed)
-    fs = [random_step_function(rng) for _ in range(trials)]
-    gs = [random_indicator_function(rng) for _ in range(indicator_trials)]
+    fs = StepRows.stack([random_step_function(rng) for _ in range(trials)])
+    gs = StepRows.stack([random_indicator_function(rng) for _ in range(indicator_trials)])
     rows = []
     ok = True
     for name, space in spaces.items():
         env = envelope_weight(space)
-        worst = min(ri_norm(f, space) - _weights.marcinkiewicz_norm(f, env) for f in fs)
-        pairs = [(ri_norm(g, space), _weights.marcinkiewicz_norm(g, env)) for g in gs]
-        worst_gap = max(abs(lhs - rhs) / max(abs(lhs), 1e-300) for lhs, rhs in pairs)
+        margins = ri_norm_rows(fs, space) - _weights.marcinkiewicz_sup_rows(fs, env)[0]
+        worst = float(margins.min())
+        lhs = ri_norm_rows(gs, space)
+        rhs = _weights.marcinkiewicz_sup_rows(gs, env)[0]
+        worst_gap = float((np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)).max())
         row_ok = worst >= -INEQ_SLACK * 10 and worst_gap <= EQ_RTOL
         ok = ok and row_ok
         rows.append(
@@ -584,25 +587,26 @@ def g1_chain_check(trials: int = 1000, seed: int = 42, grid: int = 200) -> Exper
     spot = float(fundamental_function(G, 1.0) / psi(np.array([1.0]))[0])
 
     rng = np.random.default_rng(seed)
-    fs = [rearrange(random_step_function(rng)) for _ in range(trials)]
+    fs = rearrange_rows(StepRows.stack([random_step_function(rng) for _ in range(trials)]))
+    real, ks, V = fs.real(), fs.counts, fs.values
+    drops = V - np.append(V[:, 1:], np.zeros((trials, 1)), axis=1)  # the last one v_k - 0
+    right_ends = fs.breakpoints[:, 1:]
 
     layer_worst, norms = {}, {}
     for name, E in catalog().items():
-        gaps = []
-        norms[name] = [ri_norm(f, E) for f in fs]
-        for f, norm in zip(fs, norms[name]):
-            drops = np.append(f.values[:-1] - f.values[1:], f.values[-1])
-            rhs = float(np.dot(fundamental_function(E, f.breakpoints[1:]), drops))
-            gaps.append(norm - rhs)  # must be <= 0 up to slack
-        layer_worst[name] = max(gaps)
+        norms[name] = ri_norm_rows(fs, E)
+        fund = np.zeros_like(drops)
+        fund[real] = fundamental_function(E, right_ends[real])
+        rhs = [float(np.dot(a[:k], d[:k])) for a, d, k in zip(fund, drops, ks)]
+        layer_worst[name] = float(np.max(norms[name] - rhs))  # must be <= 0 up to slack
 
     def g_ratio(g, g1):
-        return g / g1 if g1 > 0 else 0.0
+        return np.divide(g, g1, out=np.zeros_like(g), where=g1 > 0)
 
-    c_c = max(map(g_ratio, norms["G"], norms["G1"]))
+    c_c = float(np.max(g_ratio(norms["G"], norms["G1"])))
     # the doubled sample: fs, then the next `trials` draws of the same stream
-    more = [rearrange(random_step_function(rng)) for _ in range(trials)]
-    c_c2 = max(c_c, max(g_ratio(ri_norm(f, G), ri_norm(f, G1)) for f in more))
+    more = rearrange_rows(StepRows.stack([random_step_function(rng) for _ in range(trials)]))
+    c_c2 = max(c_c, float(np.max(g_ratio(ri_norm_rows(more, G), ri_norm_rows(more, G1)))))
     drift = abs(c_c2 - c_c) / c_c if c_c > 0 else 0.0
 
     rows = [
@@ -699,17 +703,16 @@ def hinge_sandwich_report(
         for _ in range(trials)
     ]
 
-    rows = []
-    for i, (f, t) in enumerate(cases):
-        hb = hinge_family_bound(f, t)
-        rows.append(
-            {"t": t, "lower": hb.lower, "upper": hb.upper, "norm": hb.norm, "pass": hb.ok, "case": i}
-        )
+    bounds = hinge_family_bounds(StepRows.stack([f for f, _ in cases]), [t for _, t in cases])
+    rows = [
+        {"t": t, "lower": hb.lower, "upper": hb.upper, "norm": hb.norm, "pass": hb.ok, "case": i}
+        for i, ((_, t), hb) in enumerate(zip(cases, bounds))
+    ]
 
     # independent oracle for the sandwich constants: grid over mu at the kinks
     oracle_worst = 0.0
-    for f, t in cases[:oracle_instances]:
-        A = partial_integral(rearrange(f), t)
+    for (f, t), hb in zip(cases[:oracle_instances], bounds):
+        A = hb.upper  # the partial integral of the rearrangement up to t
         vals = np.abs(f.values)
         mus = np.unique(np.concatenate(([0.0], vals, (vals[:-1] + vals[1:]) / 2.0)))
         penalties = [
@@ -747,9 +750,10 @@ def rearrangement_report(trials: int = 10000, seed: int = 42) -> ExperimentRepor
     for start in range(0, trials, batch):
         b_measure = 0.0
         b_integral = 0.0
-        for _ in range(min(batch, trials - start)):
-            f = random_step_function(rng)
-            r = rearrange(f)
+        fs = [random_step_function(rng) for _ in range(min(batch, trials - start))]
+        rs = rearrange_rows(StepRows.stack(fs))
+        for i, f in enumerate(fs):
+            r = rs.row(i)
             if rearrange(r) != r:
                 idem_fail += 1
             a = np.sort(np.unique(np.abs(f.values)))
@@ -841,27 +845,22 @@ def fundamental_report(grid: int = 50, oracle_points: int = 1_000_000) -> Experi
         _weights.log_psi(),
     ]
     ts = np.geomspace(_T_MIN, 1.0, grid)
+    indicators = StepRows.stack([indicator(float(t)) for t in ts])
     oracle_base = np.geomspace(1e-8, 1.0, oracle_points)
     rows = []
     ok = True
     for w in weights_list:
-        lor_exact = True
-        worst_m = 0.0
-        worst_oracle = 0.0
-        worst_prod = 0.0
+        w_t = w(ts)
+        closed = ts / w_t
+        lor = _weights.lorentz_norm_rows(indicators, w)
+        marc = _weights.marcinkiewicz_sup_rows(indicators, w)[0]
         oracle_w = w(oracle_base)
-        for t in ts:
-            f = indicator(float(t))
-            lor = _weights.lorentz_norm(f, w)
-            if lor != float(w(np.array([t]))[0]):
-                lor_exact = False
-            marc = _weights.marcinkiewicz_norm(f, w)
-            closed = float(t / w(np.array([t]))[0])
-            worst_m = max(worst_m, float(abs(marc - closed) / closed))
-            # sup of min(s, t) / w(s) over the grid and the point s = t
-            oracle = max(float(np.max(np.minimum(oracle_base, t) / oracle_w)), closed)
-            worst_oracle = max(worst_oracle, float(abs(marc - oracle) / oracle))
-            worst_prod = max(worst_prod, float(abs(lor * marc - t) / t))
+        # sup of min(s, t) / w(s) over the grid and the point s = t
+        oracle = np.maximum([np.max(np.minimum(oracle_base, t) / oracle_w) for t in ts], closed)
+        lor_exact = bool(np.all(lor == w_t))
+        worst_m = float(np.max(np.abs(marc - closed) / closed))
+        worst_oracle = float(np.max(np.abs(marc - oracle) / oracle))
+        worst_prod = float(np.max(np.abs(lor * marc - ts) / ts))
         row_ok = lor_exact and worst_m <= EQ_RTOL and worst_oracle <= EQ_RTOL and worst_prod <= EQ_RTOL
         ok = ok and row_ok
         rows.append(

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .stepfn import StepFunction, lp_norm_rows
+from .stepfn import StepFunction, _descriptor_number, lp_norm_rows
 
 __all__ = [
     "OrliczFunction",
@@ -160,9 +160,9 @@ def parse_orlicz(descriptor: str) -> OrliczFunction:
     if d == "exp2":
         return exp_square()
     if d.startswith("power:"):
-        return power(float(d.split(":", 1)[1]))
+        return power(_descriptor_number(d, OrliczError))
     if d.startswith("hinge:"):
-        return hinge(float(d.split(":", 1)[1]))
+        return hinge(_descriptor_number(d, OrliczError))
     raise OrliczError(
         f"unknown Orlicz descriptor {descriptor!r}; valid: exp2, power:p, hinge:a"
     )

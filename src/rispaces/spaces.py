@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -26,11 +26,14 @@ from . import orlicz as _orlicz
 from . import weights as _weights
 from .stepfn import (
     StepFunction,
+    StepRows,
+    _descriptor_number,
     indicator,
     lp_norm,
     lp_norm_rows,
     partial_integral,
-    rearrange,
+    rearrange,  # not called here; perfbench's tracer tests wrap this binding
+    rearrange_rows,
 )
 
 __all__ = [
@@ -47,10 +50,12 @@ __all__ = [
     "catalog",
     "parse_space",
     "ri_norm",
+    "ri_norm_rows",
     "ri_norm_max",
     "fundamental_function",
     "envelope_weight",
     "hinge_family_bound",
+    "hinge_family_bounds",
     "HingeBound",
 ]
 
@@ -127,7 +132,7 @@ def parse_space(descriptor: str) -> SpaceSpec:
     if d == "Linf":
         return linf_space()
     if d.startswith("Lp:"):
-        return lp_space(float(d.split(":", 1)[1]))
+        return lp_space(_descriptor_number(d, SpaceError))
     if d.startswith("orlicz:"):
         return orlicz_space(_orlicz.parse_orlicz(d.split(":", 1)[1]))
     if d.startswith("lorentz:"):
@@ -140,16 +145,24 @@ def parse_space(descriptor: str) -> SpaceSpec:
     )
 
 
-def ri_norm(f: StepFunction, E: SpaceSpec) -> float:
-    if E.kind == "orlicz":
-        return _orlicz.luxemburg_norm(f, E.phi)
+def ri_norm_rows(rows: StepRows, E: SpaceSpec) -> np.ndarray:
+    """The E-norm of each row. Lorentz and Marcinkiewicz norms are computed on
+    the whole batch; Orlicz and Lp norms row by row, by the Luxemburg solver
+    and by `lp_norm`."""
     if E.kind == "lorentz":
-        return _weights.lorentz_norm(f, E.weight)
+        return _weights.lorentz_norm_rows(rows, E.weight)
     if E.kind == "marcinkiewicz":
-        return _weights.marcinkiewicz_norm(f, E.weight)
+        return _weights.marcinkiewicz_sup_rows(rows, E.weight)[0]
+    if E.kind == "orlicz":
+        return np.array([_orlicz.luxemburg_norm(rows.row(i), E.phi) for i in range(len(rows))])
     if E.kind in ("lp", "linf"):
-        return lp_norm(f, E.p)
+        return np.array([lp_norm(rows.row(i), E.p) for i in range(len(rows))])
     raise SpaceError(f"unhandled space kind {E.kind!r}")
+
+
+def ri_norm(f: StepFunction, E: SpaceSpec) -> float:
+    """The E-norm of f: the one-row case of `ri_norm_rows`."""
+    return float(ri_norm_rows(StepRows.of(f), E)[0])
 
 
 def ri_norm_max(breaks: np.ndarray, S: np.ndarray, E: SpaceSpec):
@@ -246,13 +259,24 @@ class HingeBound(NamedTuple):
         return self.lower - _HINGE_SLACK <= self.norm <= self.upper + _HINGE_SLACK
 
 
-def hinge_family_bound(f: StepFunction, t: float) -> HingeBound:
-    """Sandwich A/2 <= N <= A for A = int_0^t f* and the hinge Orlicz norm N.
+def hinge_family_bounds(rows: StepRows, ts: Sequence[float]) -> list:
+    """The HingeBound of each row f and its t in `ts`: the sandwich A/2 <= N
+    <= A for A = int_0^t f* and the hinge Orlicz norm N.
 
     Both constants follow from int_0^t f* = inf_mu (t*mu + int (|f|-mu)^+).
     """
-    if not 0.0 < t <= 1.0:
-        raise SpaceError(f"hinge parameter t={t} outside (0, 1]")
-    A = partial_integral(rearrange(f), t)
-    N = _orlicz.luxemburg_norm(f, _orlicz.hinge(1.0 / t))
-    return HingeBound(A / 2.0, A, N)
+    for t in ts:
+        if not 0.0 < t <= 1.0:
+            raise SpaceError(f"hinge parameter t={t} outside (0, 1]")
+    r = rearrange_rows(rows)
+    bounds = []
+    for i, t in enumerate(ts):
+        A = partial_integral(r.row(i), t)
+        N = _orlicz.luxemburg_norm(rows.row(i), _orlicz.hinge(1.0 / t))
+        bounds.append(HingeBound(A / 2.0, A, N))
+    return bounds
+
+
+def hinge_family_bound(f: StepFunction, t: float) -> HingeBound:
+    """The hinge sandwich of f at t: the one-row case of `hinge_family_bounds`."""
+    return hinge_family_bounds(StepRows.of(f), [t])[0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -19,15 +19,18 @@ _TINY = np.finfo(np.float64).tiny  # least positive normal float
 
 __all__ = [
     "StepFunction",
+    "StepRows",
     "StepFunctionError",
     "ParseError",
     "step_function",
     "constant",
     "indicator",
     "rearrange",
+    "rearrange_rows",
     "integral",
     "partial_integral",
     "stieltjes",
+    "stieltjes_rows",
     "l1_norm",
     "lp_norm",
     "lp_norm_rows",
@@ -179,23 +182,137 @@ def indicator(t: float) -> StepFunction:
     return StepFunction(np.array([0.0, t, 1.0]), np.array([1.0, 0.0]))
 
 
+class StepRows:
+    """A batch of step functions on (0, 1], one per row of padded arrays.
+
+    breakpoints: shape (m, K+1); row i holds the k_i + 1 breakpoints of its
+    function, then 1.0 up to the width.
+    values: shape (m, K); row i holds the k_i values, then 0.0.
+    counts: shape (m,); the piece counts k_i.
+
+    functions: the StepFunctions of the rows, where the batch was built
+    from them, else None.
+
+    Padding cells have length 0, so they add exact zeros to every sum of
+    value times length. The arrays are not copied.
+    """
+
+    __slots__ = ("breakpoints", "values", "counts", "functions")
+
+    def __init__(self, breakpoints: np.ndarray, values: np.ndarray, counts: np.ndarray,
+                 functions: Optional[tuple] = None):
+        self.breakpoints = breakpoints
+        self.values = values
+        self.counts = counts
+        self.functions = functions
+
+    @classmethod
+    def of(cls, f: StepFunction) -> "StepRows":
+        """The one-row batch of f, on views of its arrays."""
+        return cls(f.breakpoints[None, :], f.values[None, :], np.array([f.k]), (f,))
+
+    @classmethod
+    def stack(cls, fns: Sequence[StepFunction]) -> "StepRows":
+        """The functions, in order, padded to the largest piece count."""
+        if not fns:
+            raise StepFunctionError("need at least one function")
+        counts = np.array([f.k for f in fns])
+        K = int(counts.max())
+        breaks = np.ones((len(fns), K + 1))
+        values = np.zeros((len(fns), K))
+        breaks[np.arange(K + 1) <= counts[:, None]] = np.concatenate([f.breakpoints for f in fns])
+        values[np.arange(K) < counts[:, None]] = np.concatenate([f.values for f in fns])
+        return cls(breaks, values, counts, tuple(fns))
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Cell lengths: `StepFunction.lengths` bit for bit, 0 on padding."""
+        b = self.breakpoints
+        return b[:, 1:] - b[:, :-1]
+
+    def real(self, extra: int = 0) -> np.ndarray:
+        """Mask of the first k_i + extra entries of each row: the real cells
+        for extra = 0, the real breakpoints for extra = 1."""
+        return np.arange(self.values.shape[1] + extra) < (self.counts + extra)[:, None]
+
+    def row(self, i: int) -> StepFunction:
+        """Row i as a StepFunction: the one it was built from, or one on
+        copies of its real entries."""
+        if self.functions is not None:
+            return self.functions[i]
+        k = self.counts[i]
+        return StepFunction._canonical(self.breakpoints[i, : k + 1].copy(), self.values[i, :k].copy())
+
+
+def rearrange_rows(rows: StepRows) -> StepRows:
+    """Non-increasing rearrangement of |f| for each row f, equimeasurable
+    with |f|, in a batch of the same width.
+
+    Each row holds bitwise the breakpoints and values of `rearrange` on that
+    row alone. Rows that are already non-negative and non-increasing keep
+    their own entries, and a batch of only such rows is returned unchanged,
+    which makes the operation exactly idempotent.
+    """
+    V = rows.values
+    A = np.abs(V)
+    done = (V >= 0.0).all(1) & (A[:, 1:] <= A[:, :-1]).all(1)
+    if done.all():
+        return rows
+    L, k = rows.lengths, rows.counts
+    todo = None if not done.any() else (~done).nonzero()[0]
+    if todo is not None:
+        A, L, k = A[todo], L[todo], k[todo]
+    m, K = A.shape
+    r = np.arange(m)[:, None]
+    cols = np.arange(K)
+    top = (k - 1)[:, None]  # the column of the last real cell
+    # padding sorts after the real zeros: it sits at the end of its row
+    order = (-A).argsort(axis=1, kind="stable")
+    S = A[r, order]
+    R = L[r, order].cumsum(axis=1)  # the right end of each sorted cell
+    R[cols >= top] = 1.0  # guard cumsum round-off on the top endpoint
+    # a tiny length can underflow against the running sum; drop such cells
+    advances = np.empty((m, K), bool)
+    advances[:, 0] = True  # the first cell has the largest |value| and a positive length
+    np.greater(R[:, 1:], R[:, :-1], out=advances[:, 1:])
+    # a right end at 1 before the last would not rise strictly to the last
+    if ((advances & (R >= 1.0)).sum(1) > 1).any():
+        raise StepFunctionError("breakpoints must be strictly increasing")
+    # merge equal neighbours: keep the end of each run of equal values when a
+    # cell of the run advances (`last`: the last advancing cell so far), with
+    # the right end of the last advancing cell
+    last = np.maximum.accumulate(np.where(advances, cols, 0), axis=1)
+    keep = cols <= top
+    keep[:, :-1] &= (S[:, 1:] != S[:, :-1]) | (cols[:-1] == top)
+    keep &= S[r, last] == S
+    kept = keep.sum(1)
+    breaks = np.ones((m, K + 1))
+    breaks[:, 0] = 0.0
+    values = np.zeros((m, K))
+    slots = cols < kept[:, None]
+    breaks[:, 1:][slots] = R[r, last][keep]
+    breaks[r[:, 0], kept] = 1.0
+    values[slots] = S[keep]
+    if todo is None:
+        return StepRows(breaks, values, kept)
+    out = StepRows(rows.breakpoints.copy(), V.copy(), rows.counts.copy())
+    out.breakpoints[todo], out.values[todo], out.counts[todo] = breaks, values, kept
+    return out
+
+
 def rearrange(f: StepFunction) -> StepFunction:
-    """Non-increasing rearrangement of |f|, equimeasurable with |f|.
+    """Non-increasing rearrangement of |f|, equimeasurable with |f|: the
+    one-row case of `rearrange_rows`.
 
     Already-rearranged inputs are returned unchanged, which makes the
     operation exactly idempotent.
     """
-    a = np.abs(f.values)
-    if np.all(f.values >= 0.0) and np.all(a[1:] <= a[:-1]):
-        return f
-    order = np.argsort(-a, kind="stable")
-    breaks = np.concatenate(([0.0], np.cumsum(f.lengths[order])))
-    breaks[-1] = 1.0  # guard cumsum round-off on the top endpoint
-    # a tiny length can underflow against the running sum; merge such pieces
-    keep = np.diff(breaks) > 0.0
-    rights = breaks[1:][keep]
-    rights[-1] = 1.0
-    return StepFunction(np.concatenate(([0.0], rights)), a[order][keep])
+    rows = StepRows.of(f)
+    r = rearrange_rows(rows)
+    return f if r is rows else r.row(0)
 
 
 def integral(f: StepFunction) -> float:
@@ -215,10 +332,19 @@ def partial_integral(f: StepFunction, t: float) -> float:
     return math.fsum(head) + float(v[j - 1]) * (t - float(b[j - 1]))
 
 
+def stieltjes_rows(rows: StepRows, weight: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Sum of v_i * (w(t_i) - w(t_{i-1})) for each row, by `math.fsum`; the
+    weight evaluator w is called once, on the real breakpoints of all rows."""
+    real = rows.real(extra=1)
+    w = np.zeros_like(rows.breakpoints)
+    w[real] = np.asarray(weight(rows.breakpoints[real]), dtype=np.float64)
+    terms = rows.values * (w[:, 1:] - w[:, :-1])
+    return np.array([math.fsum(t[:k]) for t, k in zip(terms, rows.counts)])
+
+
 def stieltjes(f: StepFunction, weight: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Sum of v_i * (w(t_i) - w(t_{i-1})) for a weight evaluator w."""
-    w = np.asarray(weight(f.breakpoints), dtype=np.float64)
-    return math.fsum(f.values * np.diff(w))
+    """Sum of v_i * (w(t_i) - w(t_{i-1})): the one-row case of `stieltjes_rows`."""
+    return float(stieltjes_rows(StepRows.of(f), weight)[0])
 
 
 def l1_norm(f: StepFunction) -> float:
@@ -288,6 +414,16 @@ def values_on(f: StepFunction, breaks: np.ndarray) -> np.ndarray:
     left end of a cell whose ends are adjacent doubles.)
     """
     return f.values[np.searchsorted(f.breakpoints[1:], breaks[1:], side="left")]
+
+
+def _descriptor_number(descriptor: str, error: type) -> float:
+    """The number after the first colon of a descriptor such as `Lp:2`; text
+    that is no number raises `error`, the parsing module's own exception."""
+    text = descriptor.split(":", 1)[1]
+    try:
+        return float(text)
+    except ValueError:
+        raise error(f"malformed number {text!r} in descriptor {descriptor!r}") from None
 
 
 # --- `stepfn v1` text format -------------------------------------------------

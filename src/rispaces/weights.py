@@ -16,7 +16,15 @@ from typing import Callable
 
 import numpy as np
 
-from .stepfn import StepFunction, rearrange, stieltjes
+from .stepfn import (
+    StepFunction,
+    StepRows,
+    _descriptor_number,
+    rearrange,
+    rearrange_rows,
+    stieltjes,
+    stieltjes_rows,
+)
 
 __all__ = [
     "ConcaveWeight",
@@ -31,8 +39,10 @@ __all__ = [
     "parse_weight",
     "validate_weight",
     "lorentz_norm",
+    "lorentz_norm_rows",
     "marcinkiewicz_norm",
     "marcinkiewicz_sup",
+    "marcinkiewicz_sup_rows",
 ]
 
 CONCAVITY_TOL = 1e-9
@@ -177,7 +187,7 @@ def parse_weight(descriptor: str) -> ConcaveWeight:
     if d == "logPsi":
         return log_psi()
     if d.startswith("power:"):
-        return power_weight(float(d.split(":", 1)[1]))
+        return power_weight(_descriptor_number(d, WeightError))
     if d.startswith("envelope:"):
         from .spaces import envelope_weight, parse_space
 
@@ -188,13 +198,22 @@ def parse_weight(descriptor: str) -> ConcaveWeight:
     )
 
 
+def lorentz_norm_rows(rows: StepRows, w: ConcaveWeight) -> np.ndarray:
+    """Stieltjes integral of each row's decreasing rearrangement against the
+    weight, summed by `math.fsum` row by row."""
+    return stieltjes_rows(rearrange_rows(rows), w)
+
+
 def lorentz_norm(f: StepFunction, w: ConcaveWeight) -> float:
-    """Stieltjes integral of the decreasing rearrangement against the weight."""
+    """Stieltjes integral of the decreasing rearrangement against the weight:
+    `lorentz_norm_rows` on one row, through the one-row cases `rearrange`
+    and `stieltjes`."""
     return stieltjes(rearrange(f), w)
 
 
-def marcinkiewicz_sup(f: StepFunction, w: ConcaveWeight):
-    """(norm, argmax t) for the Marcinkiewicz norm sup_t F(t)/phi(t).
+def marcinkiewicz_sup_rows(rows: StepRows, w: ConcaveWeight):
+    """(norms, argmax t) of the Marcinkiewicz norm sup_t F(t)/phi(t) of each
+    row, two arrays; an all-zero row gives (0.0, 1.0).
 
     F, the partial integral of the rearrangement, is concave and piecewise
     linear with F(0) = 0, so on each breakpoint segment F(t) = alpha + v*t
@@ -202,24 +221,35 @@ def marcinkiewicz_sup(f: StepFunction, w: ConcaveWeight):
     {c*phi(t) - v*t - alpha > 0} is an interval, so F/phi is quasi-convex on
     every segment and attains its maximum at a segment end. Near 0 the
     quotient is v*t/phi(t), which does not decrease, so the sup is the
-    largest F(b)/phi(b) over the breakpoints b > 0. Weights that fail
-    `validate_weight` are rejected: the argument needs concavity.
+    largest F(b)/phi(b) over the breakpoints b > 0; the first largest is
+    taken. The weight is called once, on the right ends of the real cells of
+    the non-zero rows. Weights that fail `validate_weight` are rejected: the
+    argument needs concavity.
     """
     if not validate_weight(w).valid:
         errors = "; ".join(w.diagnostics.errors)
         raise WeightError(f"{w.descriptor}: Marcinkiewicz norm needs a concave weight; {errors}")
-    r = rearrange(f)
-    if r.is_zero():
-        return 0.0, 1.0
-    b = r.breakpoints[1:]
-    F = np.cumsum(r.values * r.lengths)
-    phi = w(b)
+    r = rearrange_rows(rows)
+    b = r.breakpoints[:, 1:]
+    F = np.cumsum(r.values * r.lengths, axis=1)
+    nonzero = np.any(r.values != 0.0, axis=1)
+    real = r.real() & nonzero[:, None]
+    phi = w(b[real])
+    q = np.full_like(F, -np.inf)  # padding and zero rows never hold the max
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(phi > 0.0, F / phi, -np.inf)
-    i = int(np.argmax(q))
-    if not np.isfinite(q[i]):
+        q[real] = np.where(phi > 0.0, F[real] / phi, -np.inf)
+    first_max = (np.arange(len(q)), q.argmax(axis=1))
+    norms = np.where(nonzero, q[first_max], 0.0)
+    if not np.all(np.isfinite(norms)):
         raise WeightError(f"{w.descriptor}: weight vanishes on (0, 1]")
-    return float(q[i]), float(b[i])
+    return norms, np.where(nonzero, b[first_max], 1.0)
+
+
+def marcinkiewicz_sup(f: StepFunction, w: ConcaveWeight):
+    """(norm, argmax t) for the Marcinkiewicz norm sup_t F(t)/phi(t): the
+    one-row case of `marcinkiewicz_sup_rows`."""
+    norms, at = marcinkiewicz_sup_rows(StepRows.of(f), w)
+    return float(norms[0]), float(at[0])
 
 
 def marcinkiewicz_norm(f: StepFunction, w: ConcaveWeight) -> float:

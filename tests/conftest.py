@@ -55,6 +55,37 @@ def moderate_functions(draw, max_pieces=8):
     return step_function(breaks, vals)
 
 
+# pieces below an ulp of a running sum; none shorter than 1/DBL_MAX, where
+# the G closed form of the envelope weight overflows
+_TINY_BREAKS = (1e-300, 1e-20, 1e-17)
+
+
+@st.composite
+def batch_functions(draw, max_pieces=8):
+    """One row of a padded batch: a step function whose values are all zero,
+    already rearranged, drawn from a few magnitudes of either sign (equal
+    |values| with opposite signs), or arbitrary; some pieces shorter than an
+    ulp of the running sum; values scaled by 1, 1e300 or 1e-300."""
+    k = draw(st.integers(min_value=1, max_value=max_pieces))
+    inner = set(draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=k - 1, max_size=k - 1)))
+    if inner and draw(st.booleans()):  # a piece one ulp long after an inner point
+        inner.add(float(np.nextafter(max(inner), 1.0)))
+    inner |= set(draw(st.lists(st.sampled_from(_TINY_BREAKS), max_size=2)))
+    breaks = np.array([0.0, *sorted(inner), 1.0])
+    n = len(breaks) - 1
+    kind = draw(st.sampled_from(["zero", "rearranged", "signs", "any"]))
+    if kind == "zero":
+        vals = np.zeros(n)
+    elif kind == "signs":
+        vals = np.array(draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+                                      min_size=n, max_size=n)))
+    else:
+        vals = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+        if kind == "rearranged":
+            vals = np.sort(np.abs(vals))[::-1]
+    return StepFunction(breaks, vals * draw(st.sampled_from([1.0, 1e300, 1e-300])))
+
+
 def sign_vectors(n):
     """All 2^n sign vectors, one per row, in lexicographic order: +1 before
     -1, the first sign most significant."""
@@ -111,6 +142,47 @@ def multiply(f, g):
 def write_stepfn(f, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_stepfn(f))
+
+
+# --- the scalar rearrangement, Lorentz and Marcinkiewicz bodies ---------------
+# kept as references for the rows code, which must reproduce them bit for bit
+
+
+def reference_rearrange(f):
+    a = np.abs(f.values)
+    if np.all(f.values >= 0.0) and np.all(a[1:] <= a[:-1]):
+        return f
+    order = np.argsort(-a, kind="stable")
+    breaks = np.concatenate(([0.0], np.cumsum(f.lengths[order])))
+    breaks[-1] = 1.0  # guard cumsum round-off on the top endpoint
+    # a tiny length can underflow against the running sum; merge such pieces
+    keep = np.diff(breaks) > 0.0
+    rights = breaks[1:][keep]
+    rights[-1] = 1.0
+    return StepFunction(np.concatenate(([0.0], rights)), a[order][keep])
+
+
+def reference_lorentz_norm(f, w):
+    r = reference_rearrange(f)
+    return math.fsum(r.values * np.diff(np.asarray(w(r.breakpoints), dtype=np.float64)))
+
+
+def reference_marcinkiewicz_sup(f, w):
+    r = reference_rearrange(f)
+    if r.is_zero():
+        return 0.0, 1.0
+    b = r.breakpoints[1:]
+    F = np.cumsum(r.values * r.lengths)
+    phi = w(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(phi > 0.0, F / phi, -np.inf)
+    i = int(np.argmax(q))
+    return float(q[i]), float(b[i])
+
+
+def bits(*xs) -> bytes:
+    """The float64 bytes of the given numbers or arrays, in order."""
+    return np.asarray(xs, dtype=np.float64).tobytes()
 
 
 def assert_same_step_function(f, g):

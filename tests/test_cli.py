@@ -58,11 +58,14 @@ class TestNorm:
         assert cli.main(["norm", "--space", "Zp", "--input", const1]) == cli.EXIT_CONFIG_ERROR
 
     def test_nan_exponent_is_config_error(self, const1, capsys):
-        assert cli.main(["norm", "--space", "Lp:nan", "--input", const1]) == cli.EXIT_CONFIG_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "Traceback" not in captured.err
-        assert captured.err.startswith("config error:")
+        # a nan exponent, then numbers that do not parse at all
+        for space in ("Lp:nan", "Lp:abc", "orlicz:power:", "lorentz:power:x",
+                      "marcinkiewicz:power:", "orlicz:hinge:zz"):
+            assert cli.main(["norm", "--space", space, "--input", const1]) == cli.EXIT_CONFIG_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "Traceback" not in captured.err
+            assert captured.err.startswith("config error:"), space
 
     def test_non_concave_marcinkiewicz_weight_is_config_error(self, const1, capsys):
         # t / phi_L(t) for the Lorentz weight t*sqrt(log(e/t)) is convex near 1
@@ -219,6 +222,7 @@ EXIT_CODES = {
     "2": (cli.EXIT_INPUT_ERROR, ["norm", "--space", "L1", "--input", "no-such-file.stepfn"]),
     "3": (cli.EXIT_CONFIG_ERROR, ["verify", "gg1", "--seed", "5"]),
     "3-usage": (cli.EXIT_CONFIG_ERROR, ["verify", "theorem1", "--n", "x"]),
+    "3-number": (cli.EXIT_CONFIG_ERROR, ["verify", "envelope", "--space", "Lp:abc"]),
 }
 
 

@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_same_step_function,
+    batch_functions,
+    bits,
     l2_norm,
     linear_combination,
     measure_above,
     moderate_functions,
     multiply,
+    reference_rearrange,
     step_functions,
     write_stepfn,
 )
@@ -110,6 +114,43 @@ class TestRearrange:
         assert sf.integral(abs(f)) == pytest.approx(
             sf.integral(sf.rearrange(f)), abs=1e-12
         )
+
+
+class TestRearrangeRows:
+    @given(st.lists(batch_functions(), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_the_scalar_reference_bitwise(self, fns):
+        try:
+            refs = [reference_rearrange(f) for f in fns]
+        except sf.StepFunctionError:
+            with pytest.raises(sf.StepFunctionError):
+                sf.rearrange_rows(sf.StepRows.stack(fns))
+            return
+        batch = sf.rearrange_rows(sf.StepRows.stack(fns))
+        for i, (f, ref) in enumerate(zip(fns, refs)):
+            # each row of the batch, and the same row rearranged alone
+            for rows, j in ((batch, i), (sf.rearrange_rows(sf.StepRows.of(f)), 0)):
+                k = rows.counts[j]
+                assert k == ref.k
+                assert bits(rows.breakpoints[j, : k + 1]) == bits(ref.breakpoints)
+                assert bits(rows.values[j, :k]) == bits(ref.values)
+                assert np.all(rows.breakpoints[j, k + 1 :] == 1.0)
+                assert np.all(rows.values[j, k:] == 0.0)
+            r = sf.rearrange(f)
+            assert (r is f) == (ref is f)
+            assert_same_step_function(r, ref)
+
+    def test_a_rearranged_batch_is_returned_unchanged(self):
+        rows = sf.rearrange_rows(sf.StepRows.stack([F([0, 0.5, 1], [1.0, -3.0]), sf.indicator(0.25)]))
+        assert sf.rearrange_rows(rows) is rows
+
+    def test_padding(self):
+        rows = sf.StepRows.stack([sf.constant(2.0), F([0, 0.25, 0.5, 1], [1.0, 3.0, 2.0])])
+        assert list(rows.counts) == [1, 3]
+        assert rows.breakpoints[0].tolist() == [0.0, 1.0, 1.0, 1.0]
+        assert rows.values[0].tolist() == [2.0, 0.0, 0.0]
+        assert rows.lengths[0].tolist() == [1.0, 0.0, 0.0]
+        assert rows.row(1) == F([0, 0.25, 0.5, 1], [1.0, 3.0, 2.0])
 
 
 class TestIntegrals:

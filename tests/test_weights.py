@@ -4,8 +4,16 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import step_functions
+from conftest import (
+    batch_functions,
+    bits,
+    reference_lorentz_norm,
+    reference_marcinkiewicz_sup,
+    reference_rearrange,
+    step_functions,
+)
 from rispaces import spaces as sp
 from rispaces import stepfn as sf
 from rispaces import weights as wt
@@ -186,6 +194,29 @@ class TestMarcinkiewiczBreakpointMax:
             assert norm == q[i] and argmax == b[i], w
             oracle = math.ldexp(float(np.max(F_s / w(s))), -k)
             assert norm >= oracle * (1.0 - 1e-12), w
+
+
+class TestRowsMatchReference:
+    @given(st.lists(batch_functions(), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_lorentz_and_marcinkiewicz_rows_bitwise(self, fns):
+        try:
+            [reference_rearrange(f) for f in fns]
+        except sf.StepFunctionError:
+            return  # TestRearrangeRows checks that the rows raise as well
+        rows = sf.StepRows.stack(fns)
+        for w in _sup_weights():
+            norms, at = wt.marcinkiewicz_sup_rows(rows, w)
+            lorentz = wt.lorentz_norm_rows(rows, w)
+            for i, f in enumerate(fns):
+                one = sf.StepRows.of(f)
+                sup = reference_marcinkiewicz_sup(f, w)
+                alone = wt.marcinkiewicz_sup_rows(one, w)
+                assert bits(norms[i], at[i]) == bits(*sup) == bits(alone[0][0], alone[1][0]), w
+                assert bits(*wt.marcinkiewicz_sup(f, w)) == bits(*sup), w
+                norm = reference_lorentz_norm(f, w)
+                assert bits(lorentz[i]) == bits(norm) == bits(wt.lorentz_norm_rows(one, w)[0]), w
+                assert bits(wt.lorentz_norm(f, w)) == bits(norm), w
 
 
 class TestWeightFormulas:
