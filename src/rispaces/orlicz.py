@@ -116,9 +116,7 @@ def _exp2_dphi(s, y):
 
 def exp_square() -> OrliczFunction:
     """Phi(s) = exp(s^2) - 1, the generator of the space G."""
-    return OrliczFunction(
-        lambda s: np.expm1(np.minimum(s * s, 700.0)), "exp2", _exp2_dphi
-    )
+    return OrliczFunction(lambda s: np.expm1(s * s), "exp2", _exp2_dphi)
 
 
 def power(p: float) -> OrliczFunction:

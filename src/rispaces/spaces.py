@@ -28,9 +28,8 @@ from .stepfn import (
     StepFunction,
     StepRows,
     _descriptor_number,
+    _lp_norm,
     indicator,
-    lp_norm,
-    lp_norm_rows,
     partial_integral,
     rearrange,  # not called here; perfbench's tracer tests wrap this binding
     rearrange_rows,
@@ -88,6 +87,7 @@ def marcinkiewicz_space(w: _weights.ConcaveWeight, name: str | None = None) -> S
     return SpaceSpec("marcinkiewicz", name or f"marcinkiewicz:{w.descriptor}", weight=w)
 
 
+@lru_cache(maxsize=None)  # one SpaceSpec per p, so its closed form is checked once
 def lp_space(p: float) -> SpaceSpec:
     if not p >= 1.0:
         raise SpaceError(f"Lp needs p >= 1, got {p}")
@@ -146,17 +146,20 @@ def parse_space(descriptor: str) -> SpaceSpec:
 
 
 def ri_norm_rows(rows: StepRows, E: SpaceSpec) -> np.ndarray:
-    """The E-norm of each row. Lorentz and Marcinkiewicz norms are computed on
-    the whole batch; Orlicz and Lp norms row by row, by the Luxemburg solver
-    and by `lp_norm`."""
+    """The E-norm of each row: the one dispatch on the space kind. Lorentz and
+    Marcinkiewicz norms are computed on the whole batch; Orlicz and Lp norms
+    row by row on the real cells, by the Luxemburg solver and by the body of
+    `lp_norm`."""
     if E.kind == "lorentz":
         return _weights.lorentz_norm_rows(rows, E.weight)
     if E.kind == "marcinkiewicz":
         return _weights.marcinkiewicz_sup_rows(rows, E.weight)[0]
+    cells = zip(rows.values, rows.lengths, rows.counts)  # a row's real cells: [:k]
     if E.kind == "orlicz":
-        return np.array([_orlicz.luxemburg_norm(rows.row(i), E.phi) for i in range(len(rows))])
+        return np.array([_orlicz.luxemburg_norm_max(v[None, :k], l[:k], E.phi)[1]
+                         for v, l, k in cells])
     if E.kind in ("lp", "linf"):
-        return np.array([lp_norm(rows.row(i), E.p) for i in range(len(rows))])
+        return np.array([_lp_norm(v[:k], l[:k], E.p) for v, l, k in cells])
     raise SpaceError(f"unhandled space kind {E.kind!r}")
 
 
@@ -167,14 +170,12 @@ def ri_norm(f: StepFunction, E: SpaceSpec) -> float:
 
 def ri_norm_max(breaks: np.ndarray, S: np.ndarray, E: SpaceSpec):
     """(index, norm) of the row of S of largest E-norm, each row the values of
-    a step function on `breaks`; ties go to the lowest index."""
-    lengths = np.diff(breaks)
+    a step function on `breaks`; ties go to the lowest index. Orlicz norms
+    come from the pruned search of `luxemburg_norm_max`; the others are the
+    `ri_norm` of each row."""
     if E.kind == "orlicz":
-        return _orlicz.luxemburg_norm_max(S, lengths, E.phi)
-    if E.kind in ("lp", "linf"):
-        norms = lp_norm_rows(S, lengths, E.p)
-    else:
-        norms = [ri_norm(StepFunction(breaks, row), E) for row in S]
+        return _orlicz.luxemburg_norm_max(S, np.diff(breaks), E.phi)
+    norms = ri_norm_rows(StepRows.stack([StepFunction(breaks, row) for row in S]), E)
     i = int(np.argmax(norms))
     return i, float(norms[i])
 
@@ -187,12 +188,13 @@ def _closed_form_fundamental(E: SpaceSpec, t: np.ndarray):
         # s/phi(s) is non-decreasing for concave phi, so the sup sits at s=t;
         # the generic sup raises WeightError for a non-concave phi
         return t / E.weight(t)
-    if E.kind in ("lp", "linf"):
-        return t ** (1.0 / E.p)
-    if E.kind == "orlicz" and E.phi.p is not None:  # Phi = |s|^p: the Lp norm
-        return t ** (1.0 / E.phi.p)
-    if E.kind == "orlicz" and E.phi.descriptor == "exp2":
-        return 1.0 / np.sqrt(np.log1p(1.0 / t))
+    p = E.phi.p if E.kind == "orlicz" else E.p  # Phi = |s|^p: the Lp norm
+    if p is not None:
+        return t ** (1.0 / p)
+    if E.phi.descriptor == "exp2":
+        with np.errstate(over="ignore"):  # 1/t overflows below 1/DBL_MAX
+            inv = 1.0 / t
+        return 1.0 / np.sqrt(np.where(np.isinf(inv), np.log1p(t) - np.log(t), np.log1p(inv)))
     return None
 
 
@@ -203,8 +205,8 @@ def _closed_form_checked(E: SpaceSpec) -> bool:
     cf = _closed_form_fundamental(E, t)
     if cf is None:
         return False
-    for ti, ci in zip(t, cf):
-        generic = ri_norm(indicator(float(ti)), E)
+    norms = ri_norm_rows(StepRows.stack([indicator(float(ti)) for ti in t]), E)
+    for ti, ci, generic in zip(t, cf, norms):
         if abs(generic - ci) > 1e-8 * max(abs(ci), 1e-300):
             raise SpaceError(
                 f"{E.name}: closed-form fundamental {ci} disagrees with generic "
@@ -223,10 +225,11 @@ def fundamental_function(E: SpaceSpec, t):
     if _closed_form_checked(E):
         out = _closed_form_fundamental(E, arr)
     else:
-        out = np.array([ri_norm(indicator(float(ti)), E) for ti in arr])
+        out = ri_norm_rows(StepRows.stack([indicator(float(ti)) for ti in arr]), E)
     return float(out[0]) if scalar else out
 
 
+@lru_cache(maxsize=None)
 def envelope_weight(E: SpaceSpec) -> _weights.ConcaveWeight:
     """Weight t / ||I_(0,t]||_E; M(weight) is dominated by E everywhere and
     agrees with it on 0/1-valued functions.
@@ -270,9 +273,9 @@ def hinge_family_bounds(rows: StepRows, ts: Sequence[float]) -> list:
             raise SpaceError(f"hinge parameter t={t} outside (0, 1]")
     r = rearrange_rows(rows)
     bounds = []
-    for i, t in enumerate(ts):
+    for i, (t, v, l, k) in enumerate(zip(ts, rows.values, rows.lengths, rows.counts)):
         A = partial_integral(r.row(i), t)
-        N = _orlicz.luxemburg_norm(rows.row(i), _orlicz.hinge(1.0 / t))
+        N = _orlicz.luxemburg_norm_max(v[None, :k], l[:k], _orlicz.hinge(1.0 / t))[1]
         bounds.append(HingeBound(A / 2.0, A, N))
     return bounds
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -190,26 +190,21 @@ class StepRows:
     values: shape (m, K); row i holds the k_i values, then 0.0.
     counts: shape (m,); the piece counts k_i.
 
-    functions: the StepFunctions of the rows, where the batch was built
-    from them, else None.
-
     Padding cells have length 0, so they add exact zeros to every sum of
     value times length. The arrays are not copied.
     """
 
-    __slots__ = ("breakpoints", "values", "counts", "functions")
+    __slots__ = ("breakpoints", "values", "counts")
 
-    def __init__(self, breakpoints: np.ndarray, values: np.ndarray, counts: np.ndarray,
-                 functions: Optional[tuple] = None):
+    def __init__(self, breakpoints: np.ndarray, values: np.ndarray, counts: np.ndarray):
         self.breakpoints = breakpoints
         self.values = values
         self.counts = counts
-        self.functions = functions
 
     @classmethod
     def of(cls, f: StepFunction) -> "StepRows":
         """The one-row batch of f, on views of its arrays."""
-        return cls(f.breakpoints[None, :], f.values[None, :], np.array([f.k]), (f,))
+        return cls(f.breakpoints[None, :], f.values[None, :], np.array([f.k]))
 
     @classmethod
     def stack(cls, fns: Sequence[StepFunction]) -> "StepRows":
@@ -222,7 +217,7 @@ class StepRows:
         values = np.zeros((len(fns), K))
         breaks[np.arange(K + 1) <= counts[:, None]] = np.concatenate([f.breakpoints for f in fns])
         values[np.arange(K) < counts[:, None]] = np.concatenate([f.values for f in fns])
-        return cls(breaks, values, counts, tuple(fns))
+        return cls(breaks, values, counts)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -239,10 +234,7 @@ class StepRows:
         return np.arange(self.values.shape[1] + extra) < (self.counts + extra)[:, None]
 
     def row(self, i: int) -> StepFunction:
-        """Row i as a StepFunction: the one it was built from, or one on
-        copies of its real entries."""
-        if self.functions is not None:
-            return self.functions[i]
+        """Row i as a StepFunction on copies of its real entries."""
         k = self.counts[i]
         return StepFunction._canonical(self.breakpoints[i, : k + 1].copy(), self.values[i, :k].copy())
 
@@ -354,12 +346,17 @@ def l1_norm(f: StepFunction) -> float:
 def lp_norm(f: StepFunction, p: float) -> float:
     if not p >= 1.0:
         raise StepFunctionError(f"p must be >= 1, got {p}")
+    return _lp_norm(f.values, f.lengths, p)
+
+
+def _lp_norm(values: np.ndarray, lengths: np.ndarray, p: float) -> float:
+    """`lp_norm` of the step function with these values on cells of these lengths."""
+    a = np.abs(values)
     if p == 1.0:
-        return l1_norm(f)
+        return math.fsum(a * lengths)
     if math.isinf(p):
-        return linf_norm(f)
-    lengths = f.lengths
-    return float(_lp_of_abs(np.abs(f.values), p, lambda x: math.fsum(x * lengths)))
+        return float(np.max(a))
+    return float(_lp_of_abs(a, p, lambda x: math.fsum(x * lengths)))
 
 
 def lp_norm_rows(values: np.ndarray, lengths: np.ndarray, p: float) -> np.ndarray:

@@ -55,8 +55,9 @@ def moderate_functions(draw, max_pieces=8):
     return step_function(breaks, vals)
 
 
-# pieces below an ulp of a running sum; none shorter than 1/DBL_MAX, where
-# the G closed form of the envelope weight overflows
+# pieces below an ulp of a running sum, none shorter than 1/DBL_MAX; the G
+# indicator norm, which the G envelope weight divides by, is checked down to
+# 5e-324 in test_oracle.py
 _TINY_BREAKS = (1e-300, 1e-20, 1e-17)
 
 

@@ -336,6 +336,20 @@ class TestSuitesSmoke:
         assert ex.luxemburg_report(trials=50, grid=20).passed
         assert ex.g_g1_indicator_comparison(grid=40).passed
 
+    def test_envelope_reuses_the_catalog_checks_and_weights(self, monkeypatch):
+        # the closed forms of the catalog spaces are cross-checked against
+        # generic indicator norms, and their envelope weights built, once
+        def run():
+            return ex.envelope_lemma_check(trials=5, indicator_trials=5).to_json()
+
+        first = run()
+        made = []
+        monkeypatch.setattr(sp, "indicator", lambda t: made.append(t) or sf.indicator(t))
+        assert run() == first
+        assert made == []
+        for E in sp.catalog().values():
+            assert sp.envelope_weight(E) is sp.envelope_weight(E)
+
     def test_determinism_same_seed(self):
         a = ex.derandomization_report(trials=8, n_max=4, seed=11).to_json()
         b = ex.derandomization_report(trials=8, n_max=4, seed=11).to_json()
