@@ -139,8 +139,8 @@ def power(p: float) -> OrliczFunction:
 def hinge(a: float) -> OrliczFunction:
     """Phi(s) = (|s| - a)^+; its Luxemburg norm sandwiches the partial
     integral of the rearrangement up to t = 1/a."""
-    if a < 0.0:
-        raise OrliczError(f"hinge offset must be >= 0, got {a}")
+    if not 0.0 <= a < math.inf:  # an infinite offset gives Phi = 0: no norm exists
+        raise OrliczError(f"hinge offset must be finite and >= 0, got {a}")
     return OrliczFunction(
         lambda s: np.maximum(np.abs(s) - a, 0.0),
         f"hinge:{a:g}",

@@ -30,7 +30,7 @@ from .stepfn import (
     _descriptor_number,
     _lp_norm,
     indicator,
-    partial_integral,
+    partial_integral_rows,
     rearrange,  # not called here; perfbench's tracer tests wrap this binding
     rearrange_rows,
 )
@@ -267,17 +267,20 @@ def hinge_family_bounds(rows: StepRows, ts: Sequence[float]) -> list:
     <= A for A = int_0^t f* and the hinge Orlicz norm N.
 
     Both constants follow from int_0^t f* = inf_mu (t*mu + int (|f|-mu)^+).
+    N = max_b F(b)/(1 + b/t) over the right ends b of f*'s cells, F(b) = int_0^b f*,
+    exactly: the modular at 1/mu keeps f*'s top cells, so it is max_b (mu F(b) - b/t).
     """
-    for t in ts:
-        if not 0.0 < t <= 1.0:
-            raise SpaceError(f"hinge parameter t={t} outside (0, 1]")
+    ts = np.asarray(ts, dtype=np.float64)
+    if ts.shape != (len(rows),):
+        raise SpaceError(f"need one t per row: {ts.size} t for {len(rows)} rows")
+    outside = ~((ts > 0.0) & (ts <= 1.0))
+    if outside.any():
+        raise SpaceError(f"hinge parameter t={float(ts[outside][0])} outside (0, 1]")
     r = rearrange_rows(rows)
-    bounds = []
-    for i, (t, v, l, k) in enumerate(zip(ts, rows.values, rows.lengths, rows.counts)):
-        A = partial_integral(r.row(i), t)
-        N = _orlicz.luxemburg_norm_max(v[None, :k], l[:k], _orlicz.hinge(1.0 / t))[1]
-        bounds.append(HingeBound(A / 2.0, A, N))
-    return bounds
+    A = partial_integral_rows(r, ts)
+    F = (r.values * r.lengths).cumsum(1)
+    N = np.where(r.real(), F / (1.0 + r.breakpoints[:, 1:] / ts[:, None]), 0.0).max(1)
+    return [HingeBound(a / 2.0, a, n) for a, n in zip(A.tolist(), N.tolist())]
 
 
 def hinge_family_bound(f: StepFunction, t: float) -> HingeBound:

@@ -29,12 +29,11 @@ __all__ = [
     "rearrange_rows",
     "integral",
     "partial_integral",
+    "partial_integral_rows",
     "stieltjes",
     "stieltjes_rows",
-    "l1_norm",
     "lp_norm",
     "lp_norm_rows",
-    "linf_norm",
     "common_breakpoints",
     "values_on",
     "parse_stepfn",
@@ -312,16 +311,24 @@ def integral(f: StepFunction) -> float:
     return math.fsum(f.values * f.lengths)
 
 
+def partial_integral_rows(rows: StepRows, ts) -> np.ndarray:
+    """Exact integral of each row over (0, t] for its t in `ts`, the rows
+    assumed non-increasing: `math.fsum` over the cells wholly below t, plus
+    the part of the cell that holds t."""
+    ts = np.asarray(ts, dtype=np.float64)
+    outside = ~((ts >= 0.0) & (ts <= 1.0))
+    if outside.any():
+        raise StepFunctionError(f"t={float(ts[outside][0])} outside [0, 1]")
+    B, V = rows.breakpoints, rows.values
+    # the cell i holds t: B[i] < t <= B[i+1], where padding (1.0) never counts; i = 0 at t = 0
+    r, i = np.arange(len(rows)), np.maximum((B < ts[:, None]).sum(1) - 1, 0)
+    head = [math.fsum(h[:n]) for h, n in zip(V * rows.lengths, i)]
+    return head + V[r, i] * (ts - B[r, i])
+
+
 def partial_integral(f: StepFunction, t: float) -> float:
-    """Exact integral of f over (0, t]; f is assumed already non-increasing."""
-    if not 0.0 <= t <= 1.0:
-        raise StepFunctionError(f"t={t} outside [0, 1]")
-    if t == 0.0:
-        return 0.0
-    b, v = f.breakpoints, f.values
-    j = int(np.searchsorted(b, t, side="left"))  # b[j-1] < t <= b[j]
-    head = v[: j - 1] * np.diff(b[:j])
-    return math.fsum(head) + float(v[j - 1]) * (t - float(b[j - 1]))
+    """Exact integral over (0, t] of a non-increasing f: one row of `partial_integral_rows`."""
+    return float(partial_integral_rows(StepRows.of(f), [t])[0])
 
 
 def stieltjes_rows(rows: StepRows, weight: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -337,10 +344,6 @@ def stieltjes_rows(rows: StepRows, weight: Callable[[np.ndarray], np.ndarray]) -
 def stieltjes(f: StepFunction, weight: Callable[[np.ndarray], np.ndarray]) -> float:
     """Sum of v_i * (w(t_i) - w(t_{i-1})): the one-row case of `stieltjes_rows`."""
     return float(stieltjes_rows(StepRows.of(f), weight)[0])
-
-
-def l1_norm(f: StepFunction) -> float:
-    return math.fsum(np.abs(f.values) * f.lengths)
 
 
 def lp_norm(f: StepFunction, p: float) -> float:
@@ -390,10 +393,6 @@ def _lp_of_abs(a: np.ndarray, p: float, power_sum):
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
         scaled = sup * power_sum((a / sup[..., None]) ** p) ** (1.0 / p)
     return np.where(redo, scaled, norm)
-
-
-def linf_norm(f: StepFunction) -> float:
-    return float(np.max(np.abs(f.values)))
 
 
 def common_breakpoints(fns: Iterable[StepFunction]) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,6 +139,25 @@ def linear_combination(fns, coeffs):
 def multiply(f, g):
     breaks = common_breakpoints([f, g])
     return StepFunction(breaks, values_on(f, breaks) * values_on(g, breaks))
+
+
+def hinge_norm_exact(f, a):
+    """inf{lam : sum_i l_i (|v_i|/lam - a)^+ <= 1} in exact rationals: with the
+    k largest |v_i| active, mu = 1/lam solves a linear equation."""
+    a = Fraction(a)
+    pieces = sorted(
+        ((Fraction(abs(float(v))), Fraction(float(l))) for v, l in zip(f.values, f.lengths)),
+        reverse=True,
+    )
+    mass = level = Fraction(0)
+    for k, (v, l) in enumerate(pieces):
+        mass += l * v
+        level += l
+        mu = (1 + a * level) / mass
+        below = pieces[k + 1][0] if k + 1 < len(pieces) else Fraction(0)
+        if below * mu <= a:
+            return 1 / mu
+    raise AssertionError("no active set solves the hinge equation")
 
 
 def write_stepfn(f, path):

@@ -67,6 +67,12 @@ class TestNorm:
             assert "Traceback" not in captured.err
             assert captured.err.startswith("config error:"), space
 
+    def test_infinite_hinge_offset_is_config_error(self, const1, capsys):
+        args = ["norm", "--space", "orlicz:hinge:inf", "--input", const1]
+        assert cli.main(args) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == "config error: hinge offset must be finite and >= 0, got inf\n"
+
     def test_non_concave_marcinkiewicz_weight_is_config_error(self, const1, capsys):
         # t / phi_L(t) for the Lorentz weight t*sqrt(log(e/t)) is convex near 1
         args = ["norm", "--space", "marcinkiewicz:envelope:lorentz:logG", "--input", const1]

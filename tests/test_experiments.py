@@ -335,6 +335,43 @@ class TestSuitesSmoke:
         assert ex.rearrangement_report(trials=200).passed
         assert ex.luxemburg_report(trials=50, grid=20).passed
         assert ex.g_g1_indicator_comparison(grid=40).passed
+        # single functions; fewer luxemburg trials than exponents leave some
+        # exponent with no function
+        assert ex.hinge_sandwich_report(trials=1, oracle_instances=0).passed
+        assert ex.rearrangement_report(trials=1).passed
+        assert ex.luxemburg_report(trials=1).passed
+        assert ex.luxemburg_report(trials=3).passed
+
+    def test_batch_suites_make_no_one_row_calls(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-row call")
+
+        for owner, name in ((sf.StepRows, "row"), (ex, "rearrange"), (ol, "luxemburg_norm")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert ex.rearrangement_report(trials=200).passed
+        assert ex.luxemburg_report(trials=50, grid=20).passed  # Luxemburg rows: ri_norm_rows
+        # the hinge norm is a closed form: no hinge Phi and no root find
+        monkeypatch.setattr(sp._orlicz, "hinge", refuse)
+        monkeypatch.setattr(sp._orlicz, "luxemburg_norm_max", refuse)
+        assert ex.hinge_sandwich_report(trials=30).passed
+
+    def test_idempotence_failures_are_counted(self, monkeypatch):
+        # the second rearrangement of the batch moves one value by an ulp
+        calls = []
+
+        def perturbing(rows):
+            out = sf.rearrange_rows(rows)
+            calls.append(rows)
+            if len(calls) == 2:
+                out = sf.StepRows(out.breakpoints, out.values.copy(), out.counts)
+                out.values[3, 0] = np.nextafter(out.values[3, 0], np.inf)
+            return out
+
+        monkeypatch.setattr(ex, "rearrange_rows", perturbing)
+        rep = ex.rearrangement_report(trials=200)
+        assert len(calls) == 2
+        assert rep.summary["idempotence_failures"] == 1
+        assert not rep.passed
 
     def test_envelope_reuses_the_catalog_checks_and_weights(self, monkeypatch):
         # the closed forms of the catalog spaces are cross-checked against

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import linear_combination, signed_sums, step_functions
+from conftest import hinge_norm_exact, linear_combination, signed_sums, step_functions
 from rispaces import experiments as ex
 from rispaces import orlicz as ol
 from rispaces import spaces as sp
@@ -32,6 +32,10 @@ class TestOrliczFunctions:
     def test_hinge_rejects_negative_offset(self):
         with pytest.raises(ol.OrliczError):
             ol.hinge(-1.0)
+        # Phi = 0 for an infinite offset: no norm exists, whatever the input
+        for a in (math.inf, math.nan):
+            with pytest.raises(ol.OrliczError, match="hinge offset must be finite"):
+                ol.hinge(a)
 
     def test_validation_rejects_concave(self):
         with pytest.raises(ol.OrliczError, match="convexity"):
@@ -58,7 +62,7 @@ class TestModular:
 
     def test_large_lam_limit(self):
         f = sf.step_function([0, 0.2, 1], [5.0, -1.0])
-        m = ol.modular(f, ol.exp_square(), 1e6 * sf.linf_norm(f))
+        m = ol.modular(f, ol.exp_square(), 1e6 * sf.lp_norm(f, math.inf))
         assert 0.0 <= m < 1e-10
 
     def test_exp2_indicator(self):
@@ -344,7 +348,7 @@ def _bisection_norm(f, phi):
     """The Luxemburg norm by doubling or halving from ||f||_inf and bisection
     to BISECT_RTOL, without Newton (for norms above 2^-200 ||f||_inf)."""
     mod = functools.partial(ol.modular, f, phi)
-    lam = sf.linf_norm(f)
+    lam = sf.lp_norm(f, math.inf)
     if mod(lam) > 1.0:
         lo, hi = lam, 2.0 * lam
         while not mod(hi) <= 1.0:
@@ -443,25 +447,6 @@ class TestNewtonSolver:
             assert _close(_bisection_norm(sf.StepFunction(breaks, S[i]), base), want)
 
 
-def _hinge_norm_exact(f, a):
-    """inf{lam : sum_i l_i (|v_i|/lam - a)^+ <= 1} in exact rationals: with the
-    k largest |v_i| active, mu = 1/lam solves a linear equation."""
-    a = Fraction(a)
-    pieces = sorted(
-        ((Fraction(abs(float(v))), Fraction(float(l))) for v, l in zip(f.values, f.lengths)),
-        reverse=True,
-    )
-    mass = level = Fraction(0)
-    for k, (v, l) in enumerate(pieces):
-        mass += l * v
-        level += l
-        mu = (1 + a * level) / mass
-        below = pieces[k + 1][0] if k + 1 < len(pieces) else Fraction(0)
-        if below * mu <= a:
-            return 1 / mu
-    raise AssertionError("no active set solves the hinge equation")
-
-
 class TestExactOracles:
     """Norms within 1e-12 of exact values, for parameters that the descriptor
     (6 digits) does not round-trip: the solver must use Phi's own parameter."""
@@ -479,7 +464,7 @@ class TestExactOracles:
             t = float(rng.uniform(0.01, 1.0))
             f = ex.random_step_function(rng)
             phi = ol.hinge(1.0 / t)
-            want = _hinge_norm_exact(f, 1.0 / t)
+            want = hinge_norm_exact(f, 1.0 / t)
             for got in self._both(f, phi):
                 assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
 

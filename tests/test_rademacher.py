@@ -103,7 +103,7 @@ class TestSumRearrangement:
 
     def test_four_equal_l1(self):
         r = rd.sum_rearrangement([1.0] * 4)
-        assert sf.l1_norm(r) == pytest.approx(1.5, abs=1e-15)
+        assert sf.lp_norm(r, 1.0) == pytest.approx(1.5, abs=1e-15)
 
     def test_binomial_matches_enumeration(self):
         # exactly-representable coefficient keeps both paths bitwise equal

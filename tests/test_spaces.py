@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import moderate_functions, step_functions
+from conftest import hinge_norm_exact, moderate_functions, step_functions
+from rispaces import experiments as ex
+from rispaces import orlicz as ol
 from rispaces import spaces as sp
 from rispaces import stepfn as sf
 from rispaces import weights as wt
@@ -185,6 +188,30 @@ class TestHingeFamily:
     def test_rejects_bad_t(self):
         with pytest.raises(sp.SpaceError):
             sp.hinge_family_bound(sf.constant(1.0), 0.0)
+
+    @pytest.mark.parametrize("ts", [[0.5, 0.5], [0.5] * 4, [0.5]])
+    def test_needs_one_t_per_row(self, ts):
+        rows = sf.StepRows.stack([sf.constant(1.0), sf.indicator(0.5), sf.constant(-2.0)])
+        with pytest.raises(sp.SpaceError, match="one t per row"):
+            sp.hinge_family_bounds(rows, ts)
+
+    def test_norms_are_exact(self):
+        # random functions, some scaled by 10^300 or 10^-300, cells of 1e-300
+        # carrying values up to 1e300, a zero function, and t = 1
+        rng = np.random.default_rng(20)
+        fs = [ex.random_step_function(rng).scale(10.0 ** (300 * (i % 3 - 1))) for i in range(240)]
+        for v in rng.uniform(-3.0, 3.0, size=(60, 3)):
+            fs.append(sf.step_function([0.0, 1e-300, 2e-300, 1.0], v * [1e300, 1e-200, 1.0]))
+        fs += [sf.constant(0.0), sf.indicator(1e-300).scale(1e300)]
+        ts = [float(t) for t in rng.uniform(0.01, 1.0, size=len(fs))]
+        ts[::7] = [1.0] * len(ts[::7])
+        bounds = sp.hinge_family_bounds(sf.StepRows.stack(fs), ts)
+        assert len(bounds) == len(fs) == 302
+        for f, t, hb in zip(fs, ts, bounds):
+            want = 0 if f.is_zero() else hinge_norm_exact(f, 1 / Fraction(t))
+            assert abs(Fraction(hb.norm) - want) <= Fraction(1e-15) * want
+            assert hb.norm == pytest.approx(ol.luxemburg_norm(f, ol.hinge(1.0 / t)), rel=1e-12)
+            assert hb.ok
 
     @given(step_functions(), )
     @example(sf.constant(5e-324))  # halving the lower bracket underflows to 0
