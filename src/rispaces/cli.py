@@ -109,7 +109,7 @@ def main(argv=None) -> int:
         if args.command == "norm":
             f = _stepfn.read_stepfn(args.input)
             space = parse_space(args.space)
-            print(f"{ri_norm(f, space):.12f}")
+            print(repr(ri_norm(f, space)))  # round-trips, like format_stepfn
             return EXIT_OK
         if args.command == "rearrange":
             f = _stepfn.read_stepfn(args.input)

@@ -15,8 +15,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-_TINY = np.finfo(np.float64).tiny  # least positive normal float
-
 __all__ = [
     "StepFunction",
     "StepRows",
@@ -347,52 +345,49 @@ def stieltjes(f: StepFunction, weight: Callable[[np.ndarray], np.ndarray]) -> fl
 
 
 def lp_norm(f: StepFunction, p: float) -> float:
-    if not p >= 1.0:
-        raise StepFunctionError(f"p must be >= 1, got {p}")
-    return _lp_norm(f.values, f.lengths, p)
+    """The Lp norm of f, 1 <= p <= inf: the one-row case of `_lp_norm_rows`."""
+    return float(_lp_norm_rows(StepRows.of(f), p)[0])
 
 
-def _lp_norm(values: np.ndarray, lengths: np.ndarray, p: float) -> float:
-    """`lp_norm` of the step function with these values on cells of these lengths."""
-    a = np.abs(values)
-    if p == 1.0:
-        return math.fsum(a * lengths)
-    if math.isinf(p):
-        return float(np.max(a))
-    return float(_lp_of_abs(a, p, lambda x: math.fsum(x * lengths)))
+def _lp_norm_rows(rows: StepRows, p: float) -> np.ndarray:
+    """The Lp norm of each row, by `math.fsum` on the padded row (padding
+    cells add exact zeros)."""
+    L = rows.lengths
+    return _lp_of_abs(np.abs(rows.values), p, lambda x: np.array([math.fsum(r) for r in x * L]))
 
 
 def lp_norm_rows(values: np.ndarray, lengths: np.ndarray, p: float) -> np.ndarray:
     """Lp norms of many step functions sharing one partition: `values` has one
     function per row, `lengths` are the shared interval lengths."""
+    return _lp_of_abs(np.abs(np.asarray(values, dtype=np.float64)), p, lambda x: x @ lengths)
+
+
+def _lp_of_abs(a: np.ndarray, p: float, power_sum) -> np.ndarray:
+    """The Lp norm of each row of a >= 0, given power_sum(x), the integral of
+    each row of x (its sum times the cell lengths); a is overwritten.
+
+    p = inf takes the row maximum and p = 1 the integral of a. Otherwise the
+    norm is m S^(1/p), for m = `_binade`(max(a)) and S the integral of
+    (a/m)^p <= 2^p: scaling by m is exact and S cannot overflow, so the norm
+    of 2^k f is 2^k times that of f, bit for bit, wherever no value and no
+    norm leaves the normal range.
+    """
     if not p >= 1.0:
         raise StepFunctionError(f"p must be >= 1, got {p}")
-    a = np.abs(np.asarray(values, dtype=np.float64))
     if math.isinf(p):
         return a.max(axis=1)
-    lengths = np.asarray(lengths, dtype=np.float64)
-    return _lp_of_abs(a, p, lambda x: x @ lengths)
+    if p == 1.0:
+        return power_sum(a)
+    m = _binade(a.max(axis=1))
+    a /= m[:, None]
+    a **= p
+    return m * power_sum(a) ** (1.0 / p)
 
 
-def _lp_of_abs(a: np.ndarray, p: float, power_sum):
-    """power_sum(a**p) ** (1/p) for a >= 0, one function or one per row.
-
-    A direct power sum that is not a normal float has under- or overflowed
-    (or, if subnormal, lost digits); such functions are evaluated on a/max(a)
-    and scaled back by max(a), so the norm is positively homogeneous. All
-    other functions keep the direct value bit for bit.
-    """
-    with np.errstate(over="ignore", under="ignore"):
-        s = power_sum(a ** p)
-    norm = s ** (1.0 / p)
-    normal = (s >= _TINY) & np.isfinite(s)
-    if np.all(normal):
-        return norm
-    sup = np.max(a, axis=-1)
-    redo = ~normal & (sup > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        scaled = sup * power_sum((a / sup[..., None]) ** p) ** (1.0 / p)
-    return np.where(redo, scaled, norm)
+def _binade(x: np.ndarray) -> np.ndarray:
+    """The power of two 2^(e-1) <= x < 2^e of each x > 0 (0.5 at 0), by which
+    a division is exact. (2^e would overflow at DBL_MAX.)"""
+    return np.ldexp(1.0, np.frexp(x)[1] - 1)
 
 
 def common_breakpoints(fns: Iterable[StepFunction]) -> np.ndarray:

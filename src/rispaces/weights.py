@@ -19,6 +19,7 @@ import numpy as np
 from .stepfn import (
     StepFunction,
     StepRows,
+    _binade,
     _descriptor_number,
     rearrange,
     rearrange_rows,
@@ -93,8 +94,9 @@ def _diagnose(fn, tol: float = CONCAVITY_TOL) -> WeightDiagnostics:
     # midpoint concavity on both grids
     mid = (t[:-1] + t[1:]) / 2.0
     y_mid = np.asarray(fn(mid), dtype=np.float64)
-    slack = tol * (1.0 + (np.abs(y[:-1]) + np.abs(y[1:])) / 2.0)
-    if np.any(y_mid + slack < (y[:-1] + y[1:]) / 2.0):
+    # halves added, not a halved sum, which overflows near DBL_MAX
+    slack = tol * (1.0 + (0.5 * np.abs(y[:-1]) + 0.5 * np.abs(y[1:])))
+    if np.any(y_mid + slack < 0.5 * y[:-1] + 0.5 * y[1:]):
         errors.append("not concave (midpoint test fails)")
     phi0 = float(y[0])
     phi1 = float(fn(np.array([1.0]))[0])
@@ -231,7 +233,8 @@ def marcinkiewicz_sup_rows(rows: StepRows, w: ConcaveWeight):
         raise WeightError(f"{w.descriptor}: Marcinkiewicz norm needs a concave weight; {errors}")
     r = rearrange_rows(rows)
     b = r.breakpoints[:, 1:]
-    F = np.cumsum(r.values * r.lengths, axis=1)
+    m = _binade(r.values[:, 0])  # F/m is exact and stays normal where F would not
+    F = np.cumsum(r.values / m[:, None] * r.lengths, axis=1)
     nonzero = np.any(r.values != 0.0, axis=1)
     real = r.real() & nonzero[:, None]
     phi = w(b[real])
@@ -239,7 +242,7 @@ def marcinkiewicz_sup_rows(rows: StepRows, w: ConcaveWeight):
     with np.errstate(divide="ignore", invalid="ignore"):
         q[real] = np.where(phi > 0.0, F[real] / phi, -np.inf)
     first_max = (np.arange(len(q)), q.argmax(axis=1))
-    norms = np.where(nonzero, q[first_max], 0.0)
+    norms = np.where(nonzero, m * q[first_max], 0.0)
     if not np.all(np.isfinite(norms)):
         raise WeightError(f"{w.descriptor}: weight vanishes on (0, 1]")
     return norms, np.where(nonzero, b[first_max], 1.0)

@@ -193,12 +193,13 @@ def reference_marcinkiewicz_sup(f, w):
     if r.is_zero():
         return 0.0, 1.0
     b = r.breakpoints[1:]
-    F = np.cumsum(r.values * r.lengths)
+    m = 2.0 ** (math.frexp(r.values[0])[1] - 1)  # the power of two at or below the max
+    F = np.cumsum(r.values / m * r.lengths)
     phi = w(b)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(phi > 0.0, F / phi, -np.inf)
     i = int(np.argmax(q))
-    return float(q[i]), float(b[i])
+    return m * float(q[i]), float(b[i])
 
 
 def bits(*xs) -> bytes:

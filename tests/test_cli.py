@@ -11,6 +11,7 @@ import rispaces
 from conftest import write_stepfn
 from rispaces import cli
 from rispaces import stepfn as sf
+from rispaces.spaces import ri_norm, space_G
 
 SRC = str(Path(rispaces.__file__).resolve().parents[1])
 
@@ -32,7 +33,15 @@ def ind_quarter(tmp_path):
 class TestNorm:
     def test_lp2_constant(self, const1, capsys):
         assert cli.main(["norm", "--space", "Lp:2", "--input", const1]) == cli.EXIT_OK
-        assert capsys.readouterr().out.strip() == "1.000000000000"
+        assert capsys.readouterr().out.strip() == "1.0"
+
+    def test_prints_every_digit_of_a_tiny_norm(self, tmp_path, capsys):
+        f = sf.step_function([0.0, 0.5, 1.0], [1e-20, -2e-20])
+        write_stepfn(f, tmp_path / "tiny.stepfn")
+        args = ["norm", "--space", "G", "--input", str(tmp_path / "tiny.stepfn")]
+        assert cli.main(args) == cli.EXIT_OK
+        got = float(capsys.readouterr().out)
+        assert got == ri_norm(f, space_G()) and got > 1e-20
 
     def test_g_indicator(self, ind_quarter, capsys):
         assert cli.main(["norm", "--space", "G", "--input", ind_quarter]) == cli.EXIT_OK

@@ -387,6 +387,12 @@ class TestSuitesSmoke:
         for E in sp.catalog().values():
             assert sp.envelope_weight(E) is sp.envelope_weight(E)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_envelope_of_a_hinge_near_the_largest_double(self):
+        # the weight diagnostics average envelope values near DBL_MAX
+        E = sp.parse_space("orlicz:hinge:1e308")
+        assert ex.envelope_lemma_check(E, trials=3, indicator_trials=3).passed
+
     def test_determinism_same_seed(self):
         a = ex.derandomization_report(trials=8, n_max=4, seed=11).to_json()
         b = ex.derandomization_report(trials=8, n_max=4, seed=11).to_json()

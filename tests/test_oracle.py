@@ -115,6 +115,8 @@ def test_lorentz_and_marcinkiewicz_norms():
 # --- Luxemburg and Lp norms against the exact modular and power sum -----------
 
 LUXEMBURG_RTOL = 1e-12  # the root finder's tolerance
+# the Lp norm of an indicator of (0, t] is t^(1/p); rounding 1/p costs up to
+# |ln t|/p times its rounding error, 2.9e-14 at t = 1e-300 and p = 4/3
 LP_RTOL = 1e-13
 
 _MP_PHIS = {
@@ -197,9 +199,9 @@ def test_exact_modular_at_the_norm_is_at_most_one(name):
 def test_lp_norms(p):
     fns = _oracle_functions()
     norms = ri_norm_rows(sf.StepRows.stack(fns), lp_space(p))
-    worst = 0.0
+    worst = [0.0, 0.0]  # over the 300 random functions, then over the indicators
     with mpmath.workdps(40):
-        for f, got in zip(fns, norms):
+        for i, (f, got) in enumerate(zip(fns, norms)):
             assert got == sf.lp_norm(f, p)  # the rows path, bit for bit
             cells = _exact_cells(f)
             if p == np.inf:
@@ -210,5 +212,6 @@ def test_lp_norms(p):
             if truth == 0:
                 assert got == 0.0
                 continue
-            worst = max(worst, float(abs(mpmath.mpf(float(got)) - truth) / truth))
-    assert worst <= LP_RTOL
+            j = int(i >= 300)
+            worst[j] = max(worst[j], float(abs(mpmath.mpf(float(got)) - truth) / truth))
+    assert worst[0] <= RTOL and worst[1] <= LP_RTOL

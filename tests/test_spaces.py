@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import hinge_norm_exact, moderate_functions, step_functions
+from conftest import batch_functions, hinge_norm_exact, moderate_functions, step_functions
 from rispaces import experiments as ex
 from rispaces import orlicz as ol
 from rispaces import spaces as sp
@@ -73,6 +73,51 @@ class TestHomogeneity:
         c = -(10.0**exponent) if negative else 10.0**exponent
         want = abs(c) * sp.ri_norm(f, E)
         assert sp.ri_norm(f.scale(c), E) == pytest.approx(want, rel=1e-12)
+
+
+# every space kind, with each Lp path: p = 1, p = inf, p = 2 and other p
+_COVARIANT = ["G", "G1", "MG", "L1", "Linf", "Lp:2", "Lp:3.5", f"Lp:{4 / 3}", "orlicz:power:1",
+              "orlicz:power:2", "orlicz:power:3.5", "orlicz:hinge:1", "lorentz:power:0.5",
+              "marcinkiewicz:power:0.5"]
+
+
+def _stays_normal(x, k):
+    """Where x and x * 2^k are both 0 or both normal doubles, for every entry
+    of each row of x."""
+    e = np.frexp(x)[1]  # x = m 2^e with 0.5 <= |m| < 1
+    normal = (np.minimum(e, e + k) >= -1021) & (np.maximum(e, e + k) <= 1024)
+    return ((x == 0.0) | normal).reshape(len(x), -1).all(1)
+
+
+class TestScaleCovariance:
+    """||2^k f|| = 2^k ||f|| bit for bit: scaling by 2^k is exact wherever no
+    value and no norm leaves the normal range."""
+
+    @staticmethod
+    def _assert_covariant(E, rows, norms, k) -> int:
+        """Compares the rows that stay in the normal range; returns their count."""
+        keep = _stays_normal(rows.values, k) & _stays_normal(norms, k)
+        if keep.any():
+            V = np.ldexp(rows.values[keep], k)
+            got = sp.ri_norm_rows(sf.StepRows(rows.breakpoints[keep], V, rows.counts[keep]), E)
+            bad = got != np.ldexp(norms[keep], k)
+            assert not bad.any(), f"k={k}: {bad.sum()} rows, first {int(bad.argmax())}"
+        return int(keep.sum())
+
+    @pytest.mark.parametrize("desc", _COVARIANT)
+    def test_random_functions(self, desc):
+        E, rng = sp.parse_space(desc), np.random.default_rng(3)
+        rows = sf.StepRows.stack([ex.random_step_function(rng) for _ in range(300)])
+        norms = sp.ri_norm_rows(rows, E)
+        for k in (-600, -300, -40, -1, 1, 7, 40, 300, 600):
+            assert self._assert_covariant(E, rows, norms, k) == 300
+
+    @pytest.mark.parametrize("desc", _COVARIANT)
+    @given(fs=st.lists(batch_functions(), min_size=1, max_size=6), k=st.integers(-600, 600))
+    @settings(max_examples=25, deadline=None)
+    def test_batches(self, desc, fs, k):
+        E, rows = sp.parse_space(desc), sf.StepRows.stack(fs)
+        self._assert_covariant(E, rows, sp.ri_norm_rows(rows, E), k)
 
 
 class TestFundamentalFunction:
@@ -184,6 +229,10 @@ class TestHingeFamily:
         hb = sp.hinge_family_bound(sf.constant(0.0), 0.3)
         assert hb == sp.HingeBound(0.0, 0.0, 0.0)
         assert hb.ok
+
+    def test_slack_is_relative_to_a(self):
+        # an absolute slack would let any norm pass at this scale
+        assert not sp.HingeBound(4e-301, 8e-301, 0.0).ok
 
     def test_rejects_bad_t(self):
         with pytest.raises(sp.SpaceError):

@@ -127,6 +127,12 @@ class TestMarcinkiewiczNorm:
     def test_zero_function(self):
         assert wt.marcinkiewicz_norm(sf.constant(0.0), wt.power_weight(0.5)) == 0.0
 
+    def test_tiny_value_on_a_tiny_cell(self):
+        # F(1e-300) = 1e-600 underflows; the norm, F(t)/t at t = 1e-300, does not
+        f = sf.step_function([0.0, 1e-300, 1.0], [1e-300, 0.0])
+        norm = wt.marcinkiewicz_norm(f, wt.power_weight(1.0))
+        assert norm == pytest.approx(1e-300, rel=1e-15, abs=0.0)
+
     def test_non_concave_weight_rejected(self):
         with pytest.raises(wt.WeightError, match="concave"):
             wt.marcinkiewicz_norm(sf.indicator(0.3), wt.log_g_printed())
