@@ -717,7 +717,8 @@ def hinge_sandwich_report(
         penalties = [
             t * mu + float(np.dot(np.maximum(vals - mu, 0.0), f.lengths)) for mu in mus
         ]
-        oracle_worst = max(oracle_worst, float(abs(A - min(penalties)) / A) if A else 0.0)
+        lo = min(penalties)
+        oracle_worst = max(oracle_worst, abs(A - lo) / A if A else math.inf if lo else 0.0)
 
     fails = sum(0 if r["pass"] else 1 for r in rows)
     summary = {

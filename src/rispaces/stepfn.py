@@ -367,10 +367,10 @@ def _lp_of_abs(a: np.ndarray, p: float, power_sum) -> np.ndarray:
     each row of x (its sum times the cell lengths); a is overwritten.
 
     p = inf takes the row maximum and p = 1 the integral of a. Otherwise the
-    norm is m S^(1/p), for m = `_binade`(max(a)) and S the integral of
-    (a/m)^p <= 2^p: scaling by m is exact and S cannot overflow, so the norm
-    of 2^k f is 2^k times that of f, bit for bit, wherever no value and no
-    norm leaves the normal range.
+    norm is m S^(1/p), S the integral of (a/m)^p, for m = `_binade`(max(a)),
+    an exact divisor, while S < 2^p is finite (p <= 1023), else m = max(a) (the
+    least double on a zero row). a/m is the same for 2^k a, so ||2^k f|| is
+    2^k ||f|| bit for bit wherever no value and no norm leaves the normal range.
     """
     if not p >= 1.0:
         raise StepFunctionError(f"p must be >= 1, got {p}")
@@ -378,7 +378,7 @@ def _lp_of_abs(a: np.ndarray, p: float, power_sum) -> np.ndarray:
         return a.max(axis=1)
     if p == 1.0:
         return power_sum(a)
-    m = _binade(a.max(axis=1))
+    m = _binade(a.max(axis=1)) if p <= 1023.0 else a.max(axis=1, initial=5e-324)
     a /= m[:, None]
     a **= p
     return m * power_sum(a) ** (1.0 / p)

@@ -355,6 +355,16 @@ class TestSuitesSmoke:
         monkeypatch.setattr(sp._orlicz, "luxemburg_norm_max", refuse)
         assert ex.hinge_sandwich_report(trials=30).passed
 
+    def test_mu_oracle_catches_a_zero_a(self, monkeypatch):
+        # A = 0 on functions that are not 0: the oracle's min penalty is not 0
+        def zero_a(rows, ts):
+            return [sp.HingeBound(0.0, 0.0, 0.0) for _ in ts]
+
+        monkeypatch.setattr(ex, "hinge_family_bounds", zero_a)
+        rep = ex.hinge_sandwich_report(trials=5, oracle_instances=5)
+        assert rep.summary["mu_oracle_max_gap"] == math.inf
+        assert not rep.passed
+
     def test_idempotence_failures_are_counted(self, monkeypatch):
         # the second rearrangement of the batch moves one value by an ulp
         calls = []

@@ -195,7 +195,7 @@ def test_exact_modular_at_the_norm_is_at_most_one(name):
             assert _exact_modular(_exact_cells(f), _MP_PHIS[name], mpmath.mpf(float(got))) <= 1
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 4.0 / 3.0, np.inf])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 4.0 / 3.0, 2000.0, np.inf])
 def test_lp_norms(p):
     fns = _oracle_functions()
     norms = ri_norm_rows(sf.StepRows.stack(fns), lp_space(p))

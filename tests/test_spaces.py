@@ -57,6 +57,9 @@ class TestParseAndDispatch:
                 3.0, rel=1e-14
             )
 
+    def test_lp_beyond_p_1023(self):
+        assert sp.ri_norm(sf.constant(1.5), sp.parse_space("Lp:2000")) == 1.5
+
 
 class TestHomogeneity:
     """||c f|| = |c| ||f|| over the float64 range. Indicators of tiny sets are
@@ -75,10 +78,10 @@ class TestHomogeneity:
         assert sp.ri_norm(f.scale(c), E) == pytest.approx(want, rel=1e-12)
 
 
-# every space kind, with each Lp path: p = 1, p = inf, p = 2 and other p
-_COVARIANT = ["G", "G1", "MG", "L1", "Linf", "Lp:2", "Lp:3.5", f"Lp:{4 / 3}", "orlicz:power:1",
-              "orlicz:power:2", "orlicz:power:3.5", "orlicz:hinge:1", "lorentz:power:0.5",
-              "marcinkiewicz:power:0.5"]
+# every space kind, with each Lp path: p = 1, p = inf, p = 2, other p and p > 1023
+_COVARIANT = ["G", "G1", "MG", "L1", "Linf", "Lp:2", "Lp:3.5", f"Lp:{4 / 3}", "Lp:2000",
+              "orlicz:power:1", "orlicz:power:2", "orlicz:power:3.5", "orlicz:hinge:1",
+              "lorentz:power:0.5", "marcinkiewicz:power:0.5"]
 
 
 def _stays_normal(x, k):

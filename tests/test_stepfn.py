@@ -269,6 +269,14 @@ class TestNorms:
             assert sf.lp_norm(sf.constant(c), 2.0) == c
         assert sf.lp_norm(sf.constant(0.0), 2.0) == 0.0
 
+    def test_lp_beyond_p_1023(self):
+        # (|v|/m)^p < 2^p overflows for p >= 1024 unless m is the row max
+        for p in (1023.0, 1024.0, 2000.0, 1e300):
+            assert sf.lp_norm(sf.constant(-1.5), p) == 1.5
+        assert sf.lp_norm(sf.constant(0.0), 2000.0) == 0.0
+        f = F([0, 0.25, 1], [3.0, -1.0])
+        assert sf.lp_norm(f, 2000.0) == pytest.approx(3.0 * 0.25**(1 / 2000), rel=1e-15)
+
     @given(f=moderate_functions(), exponent=st.floats(-300.0, 300.0), negative=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_lp_homogeneous(self, f, exponent, negative):
@@ -283,7 +291,7 @@ class TestNorms:
         breaks[-1] = 1.0
         scales = np.array([[1.0], [1e-200], [1e200], [0.0], [1e-160], [3.0]])
         V = rng.uniform(-4.0, 4.0, size=(6, 6)) * scales
-        for p in (1.0, 2.0, 3.5, math.inf):
+        for p in (1.0, 2.0, 3.5, 2000.0, math.inf):
             got = sf.lp_norm_rows(V, lengths, p)
             for row, g in zip(V, got):
                 assert g == pytest.approx(sf.lp_norm(sf.StepFunction(breaks, row), p), rel=1e-12)
