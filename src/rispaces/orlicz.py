@@ -6,13 +6,12 @@ of values on one partition, and `luxemburg_norm` is its one-row case. For
 Phi(s) = |s|^p the modular is lam^(-p) integral |f|^p, so the norm is the Lp
 norm: the solver takes it in closed form and only checks the modular there.
 Otherwise it searches: the modular is continuous and non-increasing in lam
-for step functions and finite-valued Phi, so the norm is bracketed by
-doubling or halving (or by bisection on the binary exponent, where those do
-not reach it), and the bracket is closed to 1e-12 relative. Where Phi
-comes with its derivative (every catalog Phi), Newton's method in
-mu = 1/lam closes it, in which the modular M(mu) = sum_i l_i Phi(mu |v_i|)
-is convex and increasing; bisection finishes the job and stands in
-wherever Newton cannot run.
+for step functions and finite-valued Phi, so the norm is bracketed between
+||f||_inf 2^j and ||f||_inf 2^(j+1) by a galloping search on the integer j,
+and the bracket is closed to 1e-12 relative. Where Phi comes with its
+derivative (every catalog Phi), Newton's method in mu = 1/lam closes it, in
+which the modular M(mu) = sum_i l_i Phi(mu |v_i|) is convex and increasing;
+bisection finishes the job and stands in wherever Newton cannot run.
 """
 
 from __future__ import annotations
@@ -52,13 +51,9 @@ class OrliczError(ValueError):
     """Inadmissible Orlicz function or bad modular argument."""
 
 
-def _degenerate(side: str) -> OrliczError:
-    return OrliczError(f"modular {side}; Phi appears degenerate on this input")
-
-
 @dataclass(frozen=True, eq=False)
 class OrliczFunction:
-    """Convex, even, non-decreasing evaluator with Phi(0) = 0.
+    """Convex, even, non-decreasing, unbounded evaluator with Phi(0) = 0.
 
     `fn` must accept numpy arrays. The descriptor string round-trips through
     the CLI (`exp2`, `power:p`, `hinge:a`, `custom`). The optional `dphi`
@@ -104,6 +99,10 @@ def _validate(fn, descriptor: str, tol: float = 1e-9) -> None:
     slack = tol * (1.0 + (np.abs(y[:-1]) + np.abs(y[1:])) / 2.0)
     if np.any(y_mid > (y[:-1] + y[1:]) / 2.0 + slack):
         raise OrliczError(f"{descriptor}: midpoint convexity fails")
+    with np.errstate(all="ignore"):
+        top = float(np.asarray(fn(np.array([math.inf])), dtype=np.float64)[0])
+    if top != math.inf:  # the modular of a small set would never exceed 1
+        raise OrliczError(f"{descriptor}: bounded, Phi(inf) = {top}, expected inf")
 
 
 def _exp2_dphi(s, y):
@@ -275,45 +274,48 @@ def _find_root(mod, lam: float, newton: bool) -> float:
     """Least lam, to BISECT_RTOL relative, with mod(lam) <= 1, for a
     non-increasing modular `mod`.
 
-    Brackets from the first guess `lam` by doubling or halving, falls back to
-    a bisection on the binary exponent when MAX_BISECT_ITER of them do not
-    reach the root, then closes the bracket: by Newton's method in mu = 1/lam
-    when `newton` is set, for which mod(lam, slope=True) gives (mod(lam), its
-    slope) (see `_newton`), and by bisection. Returns the upper end of the
-    bracket.
+    Brackets the root between lam 2^j and lam 2^(j+1), clamped to the
+    positive doubles, by a galloping search on the integer j: it tries
+    j = +-1, +-2, +-4, ... until the modular crosses 1, then bisects on j. A
+    modular <= 1 at the least positive double returns that double; one above
+    1 at the largest double raises OrliczError. Then it closes the bracket:
+    by Newton's method in mu = 1/lam when `newton` is set, for which
+    mod(lam, slope=True) gives (mod(lam), its slope) (see `_newton`), and by
+    bisection. Returns the upper end of the bracket.
     """
-    tangents = {}  # lam -> (mod(lam), slope) at the bracket's points
+    tangents = {}  # lam -> (mod(lam), slope) at the search's points
 
-    def bracket_mod(x):
+    def point(j):  # (lam 2^j clamped to the positive doubles, mod > 1 there)
+        try:
+            x = max(math.ldexp(lam, j), 5e-324)
+        except OverflowError:
+            x = _DBL_MAX
         if not newton:
-            return mod(x)
-        m, d = tangents[x] = mod(x, slope=True)
-        return m
+            return x, mod(x) > 1.0
+        m, _ = tangents[x] = mod(x, slope=True)
+        return x, m > 1.0
 
-    if bracket_mod(lam) > 1.0:
-        lo, hi = lam, min(2.0 * lam, _DBL_MAX)
-        for _ in range(MAX_BISECT_ITER):
-            if bracket_mod(hi) <= 1.0:
-                break
-            if hi == _DBL_MAX:
-                raise _degenerate("exceeds 1 even at the largest double")
-            lo, hi = hi, min(2.0 * hi, _DBL_MAX)
-        else:  # the root is above 2^MAX_BISECT_ITER * lam
-            lo, hi = _exponent_bracket(bracket_mod, lo, _DBL_MAX)
-    else:
-        hi = lam
-        lo = lam / 2.0
-        for _ in range(MAX_BISECT_ITER):
-            if lo == 0.0:
-                return hi  # halving underflowed: hi is the least positive double
-            if bracket_mod(lo) > 1.0:
-                break
-            hi, lo = lo, lo / 2.0
-        else:  # the root is below 2^-MAX_BISECT_ITER * lam
-            lo, hi = _exponent_bracket(bracket_mod, hi, 5e-324)
+    near_x, up = point(0)  # the root is above lam where mod(lam) > 1
+    near, far = 0, 1 if up else -1  # exponents on lam's side of the root and beyond
+    while True:
+        if near_x == (_DBL_MAX if up else 5e-324):
+            if up:
+                raise OrliczError("modular exceeds 1 even at the largest double")
+            return near_x
+        far_x, over = point(far)
+        if over != up:
+            break
+        near, near_x, far = far, far_x, 2 * far
+    while abs(far - near) > 1:
+        mid = (near + far) // 2
+        x, over = point(mid)
+        if over == up:
+            near, near_x = mid, x
+        else:
+            far, far_x = mid, x
+    lo, hi = (near_x, far_x) if up else (far_x, near_x)
     if newton:
-        starts = [(x, *tangents[x]) for x in (hi, lo) if x in tangents]
-        lo, hi = _newton(mod, lo, hi, starts)
+        lo, hi = _newton(mod, lo, hi, [(x, *tangents[x]) for x in (hi, lo)])
     for _ in range(MAX_BISECT_ITER):
         if hi - lo <= BISECT_RTOL * hi:
             break
@@ -429,22 +431,3 @@ def _newton(mod, lo: float, hi: float, starts):
             lo = x
         g = _tangent_root(x, m, d)
     return lo, hi
-
-
-def _exponent_bracket(mod, lam: float, far: float):
-    """Bracket [2^a, 2^(a+1)] for a norm between `lam`, where the modular has
-    been evaluated, and `far`, the least positive or the largest double (for
-    which 2^1024 stands), where it is checked; by bisection on the binary
-    exponent."""
-    a, b = math.frexp(min(lam, far))[1] - 1, math.frexp(max(lam, far))[1]
-    with np.errstate(all="ignore"):  # f/lam may overflow to inf: modular > 1
-        if (mod(far) > 1.0) != (far < lam):
-            side = "never exceeds 1" if far < lam else "exceeds 1 even at the largest double"
-            raise _degenerate(side)
-        while b - a > 1:
-            mid = (a + b) // 2
-            if mod(math.ldexp(1.0, mid)) > 1.0:
-                a = mid
-            else:
-                b = mid
-    return math.ldexp(1.0, a), math.ldexp(1.0, b) if b < 1024 else _DBL_MAX

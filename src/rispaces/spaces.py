@@ -235,8 +235,8 @@ def envelope_weight(E: SpaceSpec) -> _weights.ConcaveWeight:
     agrees with it on 0/1-valued functions.
 
     Concavity of this weight is not guaranteed for arbitrary spaces. It is
-    diagnosed once when the weight is built, and a Marcinkiewicz norm with a
-    weight that fails the diagnosis raises `WeightError`.
+    diagnosed once, when a norm first needs the diagnosis, and a
+    Marcinkiewicz norm with a weight that fails it raises `WeightError`.
     """
 
     def fn(t):
@@ -246,7 +246,7 @@ def envelope_weight(E: SpaceSpec) -> _weights.ConcaveWeight:
         out[pos] = t[pos] / fundamental_function(E, t[pos])
         return out
 
-    return _weights.custom_weight(fn, name=f"envelope:{E.name}", strict=False)
+    return _weights.ConcaveWeight(fn, f"envelope:{E.name}")
 
 
 _HINGE_RTOL = 1e-10  # slack of HingeBound.ok relative to A, which the hinge suite reports

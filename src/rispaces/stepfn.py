@@ -331,12 +331,16 @@ def partial_integral(f: StepFunction, t: float) -> float:
 
 def stieltjes_rows(rows: StepRows, weight: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Sum of v_i * (w(t_i) - w(t_{i-1})) for each row, by `math.fsum`; the
-    weight evaluator w is called once, on the real breakpoints of all rows."""
+    weight evaluator w is called once, on the real breakpoints of all rows.
+    Each row is divided by the power of two m at or below its max|v| and its
+    sum multiplied by m, so the sum for 2^k f is 2^k times that for f bit for
+    bit wherever the values and the sum stay normal."""
     real = rows.real(extra=1)
     w = np.zeros_like(rows.breakpoints)
     w[real] = np.asarray(weight(rows.breakpoints[real]), dtype=np.float64)
-    terms = rows.values * (w[:, 1:] - w[:, :-1])
-    return np.array([math.fsum(t[:k]) for t, k in zip(terms, rows.counts)])
+    m = _binade(np.abs(rows.values).max(axis=1))
+    terms = rows.values / m[:, None] * (w[:, 1:] - w[:, :-1])
+    return m * np.array([math.fsum(t[:k]) for t, k in zip(terms, rows.counts)])
 
 
 def stieltjes(f: StepFunction, weight: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -366,18 +370,16 @@ def _lp_of_abs(a: np.ndarray, p: float, power_sum) -> np.ndarray:
     """The Lp norm of each row of a >= 0, given power_sum(x), the integral of
     each row of x (its sum times the cell lengths); a is overwritten.
 
-    p = inf takes the row maximum and p = 1 the integral of a. Otherwise the
-    norm is m S^(1/p), S the integral of (a/m)^p, for m = `_binade`(max(a)),
-    an exact divisor, while S < 2^p is finite (p <= 1023), else m = max(a) (the
-    least double on a zero row). a/m is the same for 2^k a, so ||2^k f|| is
-    2^k ||f|| bit for bit wherever no value and no norm leaves the normal range.
+    p = inf takes the row maximum. Otherwise the norm is m S^(1/p), S the
+    integral of (a/m)^p, for m = `_binade`(max(a)), an exact divisor, while
+    S < 2^p is finite (p <= 1023), else m = max(a) (the least double on a zero
+    row). a/m is the same for 2^k a, so ||2^k f|| is 2^k ||f|| bit for bit
+    wherever no value and no norm leaves the normal range.
     """
     if not p >= 1.0:
         raise StepFunctionError(f"p must be >= 1, got {p}")
     if math.isinf(p):
         return a.max(axis=1)
-    if p == 1.0:
-        return power_sum(a)
     m = _binade(a.max(axis=1)) if p <= 1023.0 else a.max(axis=1, initial=5e-324)
     a /= m[:, None]
     a **= p

@@ -168,13 +168,11 @@ def log_psi() -> ConcaveWeight:
     )
 
 
-def custom_weight(
-    fn: Callable[[np.ndarray], np.ndarray], name: str = "custom", strict: bool = True
-) -> ConcaveWeight:
-    """Wrap an arbitrary evaluator and diagnose it; strict=True rejects
-    non-concave shapes."""
+def custom_weight(fn: Callable[[np.ndarray], np.ndarray], name: str = "custom") -> ConcaveWeight:
+    """Wrap an arbitrary evaluator and diagnose it; a weight that fails the
+    diagnosis (one that is not non-decreasing and concave) is rejected."""
     w = ConcaveWeight(fn, name)
-    if not w.diagnostics.valid and strict:
+    if not w.diagnostics.valid:
         raise WeightError(f"{name}: " + "; ".join(w.diagnostics.errors))
     return w
 

@@ -185,7 +185,8 @@ def reference_rearrange(f):
 
 def reference_lorentz_norm(f, w):
     r = reference_rearrange(f)
-    return math.fsum(r.values * np.diff(np.asarray(w(r.breakpoints), dtype=np.float64)))
+    m = 2.0 ** (math.frexp(r.values[0])[1] - 1)  # the power of two at or below the max
+    return m * math.fsum(r.values / m * np.diff(np.asarray(w(r.breakpoints), dtype=np.float64)))
 
 
 def reference_marcinkiewicz_sup(f, w):

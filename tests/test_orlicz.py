@@ -108,15 +108,14 @@ class TestLuxemburgNorm:
 
     def test_norm_far_above_sup(self):
         # Phi = 1e300 s^2: the norms 1e150 and 1e308 of the constants 1 and
-        # 1e158 lie beyond 2^200 ||f||_inf, so the bracket comes from the
-        # bisection on the binary exponent, upwards
+        # 1e158 lie beyond 2^200 ||f||_inf, far up the galloping search
         phi = ol.custom_orlicz(lambda s: 1e300 * s * s)
         for c, want in ((1.0, 1e150), (1e158, 1e308)):
             f = sf.constant(c)
             scalar = ol.luxemburg_norm(f, phi)
             i, rows = ol.luxemburg_norm_max(np.array([[c]]), f.lengths, phi)
-            assert scalar == pytest.approx(want, rel=1e-12)
-            assert i == 0 and rows == pytest.approx(want, rel=1e-12)
+            assert scalar == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert i == 0 and rows == pytest.approx(want, rel=1e-12, abs=0.0)
             assert ol.modular(f, phi, scalar) <= 1.0
         with pytest.raises(ol.OrliczError, match="exceeds 1 even at the largest double"):
             ol.luxemburg_norm(sf.constant(1e160), phi)
@@ -269,20 +268,20 @@ class TestLuxemburgNormMax:
 
     @pytest.mark.parametrize("desc", ["power:3", "hinge:1"])
     def test_norm_far_below_sup(self, desc):
-        # t^(1/3) and t/(1+t) at t = 1e-300: below 2^-200 times the sup, so
-        # the bracket comes from the bisection on the binary exponent
+        # t^(1/3) and t/(1+t) at t = 1e-300: below 2^-200 times the sup, far
+        # down the galloping search
         phi = ol.parse_orlicz(desc)
         f = sf.indicator(1e-300)
         i, norm = ol.luxemburg_norm_max(np.array([[0.5, 0.0], [1.0, 0.0]]), f.lengths, phi)
         assert i == 1
         assert norm < 2.0 ** -200
         assert _close(norm, ol.luxemburg_norm(f, phi))
-        assert norm == pytest.approx(TestTinyNorms.CLOSED[desc](1e-300), rel=1e-12)
+        assert norm == pytest.approx(TestTinyNorms.CLOSED[desc](1e-300), rel=1e-12, abs=0.0)
         assert ol.modular(f, phi, norm) <= 1.0
 
 
 class TestTinyNorms:
-    """Norms far below ||f||_inf, where the lower bracket leaves the halving range."""
+    """Norms far below ||f||_inf, down to the least positive double."""
 
     CLOSED = {"power:3": lambda t: t ** (1.0 / 3.0), "hinge:1": lambda t: t / (1.0 + t)}
 
@@ -294,8 +293,8 @@ class TestTinyNorms:
             f = sf.indicator(t)
             scalar = ol.luxemburg_norm(f, phi)
             i, rows = ol.luxemburg_norm_max(np.array([[1.0, 0.0]]), f.lengths, phi)
-            assert scalar == pytest.approx(want, rel=1e-12)
-            assert i == 0 and rows == pytest.approx(want, rel=1e-12)
+            assert scalar == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert i == 0 and rows == pytest.approx(want, rel=1e-12, abs=0.0)
             assert ol.modular(f, phi, scalar) <= 1.0
 
     @pytest.mark.parametrize("desc", ["power:3", "hinge:2"])
@@ -306,13 +305,33 @@ class TestTinyNorms:
         assert ol.luxemburg_norm_max(np.array([[tiny]]), np.array([1.0]), phi) == (0, tiny)
 
     def test_degenerate_phi_still_rejected(self):
-        # a Phi capped at exp(700) keeps its modular below 1 on tiny sets
-        phi = ol.custom_orlicz(lambda s: np.expm1(np.minimum(s * s, 700.0)), "capped")
-        f = sf.indicator(1e-305)
-        with pytest.raises(ol.OrliczError, match="never exceeds 1"):
-            ol.luxemburg_norm(f, phi)
-        with pytest.raises(ol.OrliczError, match="never exceeds 1"):
-            ol.luxemburg_norm_max(np.array([[1.0, 0.0]]), f.lengths, phi)
+        # a bounded Phi would keep its modular below 1 on tiny sets: it is
+        # rejected when it is built, as is Phi = 0
+        for fn in (lambda s: np.expm1(np.minimum(s * s, 700.0)),
+                   lambda s: np.minimum(s * s, 1e300), np.zeros_like):
+            with pytest.raises(ol.OrliczError, match="bounded"):
+                ol.custom_orlicz(fn, "bounded")
+
+    @pytest.mark.parametrize("desc", ["power:1", "power:2", "hinge:1"])
+    @pytest.mark.parametrize("c", [1e-280, 1e-250])
+    def test_modular_at_most_one_at_the_least_double(self, desc, c):
+        # c on one least-double cell: the norm is below 5e-324, whatever c is
+        phi = ol.parse_orlicz(desc)
+        f = sf.StepFunction(np.array([0.0, 5e-324, 1.0]), np.array([c, 0.0]))
+        assert ol.luxemburg_norm(f, phi) == 5e-324
+        assert ol.luxemburg_norm_max(f.values[None, :], f.lengths, phi) == (0, 5e-324)
+
+    @pytest.mark.parametrize("desc", ["power:3", "hinge:1"])
+    def test_far_norms_take_few_evaluations(self, desc):
+        # norms 2^-220 to 2^-1000 times ||f||_inf: the gallop takes about 24
+        # evaluations, where halving would take one per binade
+        base = ol.parse_orlicz(desc)
+        phi, calls = _counting(base, base.dphi)  # a power without its p: root found
+        for t in (1e-300, 1e-200):
+            calls[0] = 0
+            norm = ol.luxemburg_norm(sf.indicator(t), phi)
+            assert norm == pytest.approx(self.CLOSED[desc](t), rel=1e-12, abs=0.0)
+            assert calls[0] <= 30
 
     @pytest.mark.parametrize("desc", ["exp2", "power:1", "power:2", "power:3", "hinge:1"])
     def test_overflow_up_to_the_norm_raises(self, desc):
@@ -327,7 +346,8 @@ class TestTinyNorms:
                 ol.luxemburg_norm_max(np.array([[1.0, 0.0], [0.5, 0.0]]), f.lengths, phi)
         want = {"exp2": 1.0 / math.sqrt(math.log1p(1e308)), "power:1": 1e-308,
                 "power:2": 1e-154, "power:3": 1e-308 ** (1.0 / 3.0), "hinge:1": 1e-308}[desc]
-        assert ol.luxemburg_norm(sf.indicator(1e-308), phi) == pytest.approx(want, rel=1e-12)
+        got = ol.luxemburg_norm(sf.indicator(1e-308), phi)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def _counting(phi, dphi):
@@ -345,18 +365,23 @@ def _counting(phi, dphi):
 
 
 def _bisection_norm(f, phi):
-    """The Luxemburg norm by doubling or halving from ||f||_inf and bisection
-    to BISECT_RTOL, without Newton (for norms above 2^-200 ||f||_inf)."""
+    """The Luxemburg norm by a galloping search for the integer j with the
+    norm between ||f||_inf 2^j and ||f||_inf 2^(j+1) (j = +-1, +-2, +-4, ...,
+    then bisection on j), and bisection to BISECT_RTOL, without Newton (for
+    norms that are normal doubles)."""
     mod = functools.partial(ol.modular, f, phi)
     lam = sf.lp_norm(f, math.inf)
-    if mod(lam) > 1.0:
-        lo, hi = lam, 2.0 * lam
-        while not mod(hi) <= 1.0:
-            lo, hi = hi, 2.0 * hi
-    else:
-        hi, lo = lam, lam / 2.0
-        while not mod(lo) > 1.0:
-            hi, lo = lo, lo / 2.0
+    up = mod(lam) > 1.0
+    near, far = 0, 1 if up else -1
+    while (mod(math.ldexp(lam, far)) > 1.0) == up:
+        near, far = far, 2 * far
+    while abs(far - near) > 1:
+        mid = (near + far) // 2
+        if (mod(math.ldexp(lam, mid)) > 1.0) == up:
+            near = mid
+        else:
+            far = mid
+    lo, hi = sorted((math.ldexp(lam, near), math.ldexp(lam, far)))
     while hi - lo > ol.BISECT_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if mod(mid) <= 1.0:
@@ -506,6 +531,7 @@ class TestPowerClosedForm:
         xs=st.lists(step_functions(max_pieces=4), min_size=1, max_size=6),
         scale=st.sampled_from([1.0, 1e150, 1e-150]),
     )
+    @example(xs=[sf.constant(5e-324)], scale=1.0)
     @settings(max_examples=40, deadline=None)
     def test_signed_sum_rows(self, p, xs, scale):
         phi = ol.power(p)
@@ -519,7 +545,9 @@ class TestPowerClosedForm:
         _, generic = ol.luxemburg_norm_max(S, dl, _without_p(phi))
         assert abs(norm - generic) <= 1e-12 * generic
         assert (phi(S / norm) @ dl).max() <= 1.0
-        assert (phi(S / (norm * (1.0 - 1e-9))) @ dl).max() > 1.0
+        below = norm * (1.0 - 1e-9)
+        if below < norm:  # no double lies 1e-9 below a subnormal norm such as 5e-324
+            assert (phi(S / below) @ dl).max() > 1.0
 
     @pytest.mark.parametrize("p", POWER_PS)
     def test_at_most_two_phi_evaluations(self, p):

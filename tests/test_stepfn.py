@@ -283,7 +283,7 @@ class TestNorms:
         c = -(10.0**exponent) if negative else 10.0**exponent
         for p in (1.0, 2.0, 3.5, math.inf):
             want = abs(c) * sf.lp_norm(f, p)
-            assert sf.lp_norm(f.scale(c), p) == pytest.approx(want, rel=1e-12)
+            assert sf.lp_norm(f.scale(c), p) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_lp_rows_match_scalar(self, rng):
         lengths = np.diff(np.concatenate(([0.0], np.sort(rng.uniform(0, 1, 5)), [1.0])))
