@@ -37,12 +37,12 @@ from .spaces import (
     ri_norm_rows,
     space_G,
     space_G1,
+    space_MG,
 )
 from .stepfn import (
     StepFunction,
     StepRows,
     common_breakpoints,
-    indicator,
     lp_norm_rows,
     rearrange,  # not called here; perfbench's tracer tests wrap this binding
     rearrange_rows,
@@ -648,15 +648,9 @@ def g_g1_indicator_comparison(grid: int = 200) -> ExperimentReport:
     whose indicator quantity blows up as t -> 0.
     """
     _require(1, grid=grid)
-    G = space_G()
-    phi1 = _weights.log_g1()
-    phi_g = _weights.log_g()
-    phi_printed = _weights.log_g_printed()
     ts = np.geomspace(_T_MIN, 1.0, grid)
-    n_g = fundamental_function(G, ts)
-    n_g1 = phi1(ts)
-    n_mg = ts / phi_g(ts)
-    printed = ts / phi_printed(ts)
+    n_g, n_g1, n_mg = (fundamental_function(E, ts) for E in (space_G(), space_G1(), space_MG()))
+    printed = ts / _weights.log_g_printed()(ts)
     rows = [
         {
             "t": float(t),
@@ -796,7 +790,7 @@ def luxemburg_report(
     _require(0, seed=seed)
     _require(1, trials=trials, grid=grid)
     ts = np.geomspace(1e-6, 1.0, grid)
-    nums = ri_norm_rows(StepRows.stack([indicator(float(t)) for t in ts]), space_G())
+    nums = ri_norm_rows(StepRows.indicators(ts), space_G())
     refs = np.array([1.0 / math.sqrt(math.log1p(1.0 / t)) for t in ts])
     worst_cf = float(np.max(np.abs(nums - refs) / refs))
     rng = np.random.default_rng(seed)
@@ -842,8 +836,9 @@ def fundamental_report(grid: int = 50, oracle_points: int = 1_000_000) -> Experi
         _weights.log_psi(),
     ]
     ts = np.geomspace(_T_MIN, 1.0, grid)
-    indicators = StepRows.stack([indicator(float(t)) for t in ts])
+    indicators = StepRows.indicators(ts)
     oracle_base = np.geomspace(1e-8, 1.0, oracle_points)
+    below_t = np.searchsorted(oracle_base, ts, side="right")  # the grid points s <= t
     rows = []
     ok = True
     for w in weights_list:
@@ -852,8 +847,12 @@ def fundamental_report(grid: int = 50, oracle_points: int = 1_000_000) -> Experi
         lor = _weights.lorentz_norm_rows(indicators, w)
         marc = _weights.marcinkiewicz_sup_rows(indicators, w)[0]
         oracle_w = w(oracle_base)
-        # sup of min(s, t) / w(s) over the grid and the point s = t
-        oracle = np.maximum([np.max(np.minimum(oracle_base, t) / oracle_w) for t in ts], closed)
+        # sup of min(s, t) / w(s) over the grid and the point s = t, in one
+        # pass: the largest s / w(s) for s <= t and t / (the least w(s) for
+        # s > t), the same bits, since IEEE division is monotone
+        below = np.maximum.accumulate(np.concatenate(([-np.inf], oracle_base / oracle_w)))
+        above = np.minimum.accumulate(np.concatenate((oracle_w, [np.inf]))[::-1])[::-1]
+        oracle = np.maximum(np.maximum(below[below_t], ts / above[below_t]), closed)
         lor_exact = bool(np.all(lor == w_t))
         worst_m = float(np.max(np.abs(marc - closed) / closed))
         worst_oracle = float(np.max(np.abs(marc - oracle) / oracle))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -113,8 +114,10 @@ def _exp2_dphi(s, y):
     return y
 
 
+@lru_cache(maxsize=None)
 def exp_square() -> OrliczFunction:
-    """Phi(s) = exp(s^2) - 1, the generator of the space G."""
+    """Phi(s) = exp(s^2) - 1, the generator of the space G: one instance,
+    which `spaces.fundamental_function` recognizes by identity."""
     return OrliczFunction(lambda s: np.expm1(s * s), "exp2", _exp2_dphi)
 
 

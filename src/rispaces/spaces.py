@@ -8,9 +8,9 @@ Marcinkiewicz, Lp, or Linf. The catalog spaces are
     MG  Marcinkiewicz space with weight t*sqrt(log(e/t)),
     L1.
 
-Also here: fundamental functions (indicator norms) with cross-checked closed
-forms, the Marcinkiewicz envelope of a space, and the hinge-function bound
-that makes the partial integral an Orlicz-equivalent quantity.
+Also here: fundamental functions (indicator norms), the Marcinkiewicz
+envelope of a space, and the hinge-function bound that makes the partial
+integral an Orlicz-equivalent quantity.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .stepfn import (
     StepRows,
     _descriptor_number,
     _lp_norm_rows,
-    indicator,
     partial_integral_rows,
     rearrange,  # not called here; perfbench's tracer tests wrap this binding
     rearrange_rows,
@@ -87,7 +86,7 @@ def marcinkiewicz_space(w: _weights.ConcaveWeight, name: str | None = None) -> S
     return SpaceSpec("marcinkiewicz", name or f"marcinkiewicz:{w.descriptor}", weight=w)
 
 
-@lru_cache(maxsize=None)  # one SpaceSpec per p, so its closed form is checked once
+@lru_cache(maxsize=None)  # one SpaceSpec per p, so its envelope weight is built once
 def lp_space(p: float) -> SpaceSpec:
     if not p >= 1.0:
         raise SpaceError(f"Lp needs p >= 1, got {p}")
@@ -180,53 +179,24 @@ def ri_norm_max(breaks: np.ndarray, S: np.ndarray, E: SpaceSpec):
     return i, float(norms[i])
 
 
-def _closed_form_fundamental(E: SpaceSpec, t: np.ndarray):
-    """Vectorized indicator-norm formula, or None when no closed form applies."""
-    if E.kind == "lorentz":
-        return E.weight(t)
-    if E.kind == "marcinkiewicz":
-        # s/phi(s) is non-decreasing for concave phi, so the sup sits at s=t;
-        # the generic sup raises WeightError for a non-concave phi
-        return t / E.weight(t)
-    p = E.phi.p if E.kind == "orlicz" else E.p  # Phi = |s|^p: the Lp norm
-    if p is not None:
-        return t ** (1.0 / p)
-    if E.phi.descriptor == "exp2":
-        with np.errstate(over="ignore"):  # 1/t overflows below 1/DBL_MAX
-            inv = 1.0 / t
-        return 1.0 / np.sqrt(np.where(np.isinf(inv), np.log1p(t) - np.log(t), np.log1p(inv)))
-    return None
-
-
-@lru_cache(maxsize=None)
-def _closed_form_checked(E: SpaceSpec) -> bool:
-    """Cross-check the closed form against the generic norm path once."""
-    t = np.geomspace(1e-4, 1.0, 10)
-    cf = _closed_form_fundamental(E, t)
-    if cf is None:
-        return False
-    norms = ri_norm_rows(StepRows.stack([indicator(float(ti)) for ti in t]), E)
-    for ti, ci, generic in zip(t, cf, norms):
-        if abs(generic - ci) > 1e-8 * max(abs(ci), 1e-300):
-            raise SpaceError(
-                f"{E.name}: closed-form fundamental {ci} disagrees with generic "
-                f"norm {generic} at t={ti}"
-            )
-    return True
-
-
 def fundamental_function(E: SpaceSpec, t):
-    """Indicator norm ||I_(0,t]||_E; accepts a scalar or an array of t."""
+    """Indicator norm ||I_(0,t]||_E for t in (0, 1], in the shape of t (a
+    float for a scalar). G's is the closed form 1/sqrt(log(1 + 1/t)) in place
+    of a root find, keyed on the catalog exp2 Phi object, not on its name
+    (log(1 + 1/t) is log1p(t) - log(t) where 1/t overflows); every other
+    space takes `ri_norm_rows` on the batch of indicators."""
     arr = np.asarray(t, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any((arr <= 0.0) | (arr > 1.0)):
-        raise SpaceError(f"fundamental function needs t in (0, 1]")
-    if _closed_form_checked(E):
-        out = _closed_form_fundamental(E, arr)
+    ts = arr.ravel()
+    outside = ~((ts > 0.0) & (ts <= 1.0))
+    if outside.any():
+        raise SpaceError(f"fundamental function needs t in (0, 1], got t={float(ts[outside][0])}")
+    if E.kind == "orlicz" and E.phi is _orlicz.exp_square():
+        with np.errstate(over="ignore"):  # 1/t overflows below 1/DBL_MAX
+            inv = 1.0 / ts
+        out = 1.0 / np.sqrt(np.where(np.isinf(inv), np.log1p(ts) - np.log(ts), np.log1p(inv)))
     else:
-        out = ri_norm_rows(StepRows.stack([indicator(float(ti)) for ti in arr]), E)
-    return float(out[0]) if scalar else out
+        out = ri_norm_rows(StepRows.indicators(ts), E)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 @lru_cache(maxsize=None)

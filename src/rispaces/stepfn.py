@@ -216,6 +216,22 @@ class StepRows:
         values[np.arange(K) < counts[:, None]] = np.concatenate([f.values for f in fns])
         return cls(breaks, values, counts)
 
+    @classmethod
+    def indicators(cls, ts) -> "StepRows":
+        """The indicators of (0, t] for t in the 1-d `ts`, in order: the
+        arrays of `stack([indicator(t) for t in ts])` whenever some t < 1.
+        (A row at t = 1 has one piece and one padding cell.)"""
+        ts = np.asarray(ts, dtype=np.float64)
+        outside = ~((ts > 0.0) & (ts <= 1.0))
+        if outside.any():
+            t = float(ts[outside][0])
+            raise StepFunctionError(f"indicator endpoint t={t} outside (0, 1]")
+        breaks = np.zeros((len(ts), 3))
+        breaks[:, 1], breaks[:, 2] = ts, 1.0
+        values = np.zeros((len(ts), 2))
+        values[:, 0] = 1.0
+        return cls(breaks, values, np.where(ts == 1.0, 1, 2))
+
     def __len__(self) -> int:
         return len(self.counts)
 
@@ -320,8 +336,7 @@ def partial_integral_rows(rows: StepRows, ts) -> np.ndarray:
     B, V = rows.breakpoints, rows.values
     # the cell i holds t: B[i] < t <= B[i+1], where padding (1.0) never counts; i = 0 at t = 0
     r, i = np.arange(len(rows)), np.maximum((B < ts[:, None]).sum(1) - 1, 0)
-    head = [math.fsum(h[:n]) for h, n in zip(V * rows.lengths, i)]
-    return head + V[r, i] * (ts - B[r, i])
+    return _fsum_rows(V * rows.lengths, i) + V[r, i] * (ts - B[r, i])
 
 
 def partial_integral(f: StepFunction, t: float) -> float:
@@ -340,7 +355,7 @@ def stieltjes_rows(rows: StepRows, weight: Callable[[np.ndarray], np.ndarray]) -
     w[real] = np.asarray(weight(rows.breakpoints[real]), dtype=np.float64)
     m = _binade(np.abs(rows.values).max(axis=1))
     terms = rows.values / m[:, None] * (w[:, 1:] - w[:, :-1])
-    return m * np.array([math.fsum(t[:k]) for t, k in zip(terms, rows.counts)])
+    return m * _fsum_rows(terms, rows.counts)
 
 
 def stieltjes(f: StepFunction, weight: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -354,10 +369,8 @@ def lp_norm(f: StepFunction, p: float) -> float:
 
 
 def _lp_norm_rows(rows: StepRows, p: float) -> np.ndarray:
-    """The Lp norm of each row, by `math.fsum` on the padded row (padding
-    cells add exact zeros)."""
-    L = rows.lengths
-    return _lp_of_abs(np.abs(rows.values), p, lambda x: np.array([math.fsum(r) for r in x * L]))
+    """The Lp norm of each row, by `math.fsum` on its real cells."""
+    return _lp_of_abs(np.abs(rows.values), p, lambda x: _fsum_rows(x * rows.lengths, rows.counts))
 
 
 def lp_norm_rows(values: np.ndarray, lengths: np.ndarray, p: float) -> np.ndarray:
@@ -384,6 +397,18 @@ def _lp_of_abs(a: np.ndarray, p: float, power_sum) -> np.ndarray:
     a /= m[:, None]
     a **= p
     return m * power_sum(a) ** (1.0 / p)
+
+
+def _fsum_rows(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """`math.fsum` of the first n_i entries of each row i of x, bit for bit.
+    A sum of at most two doubles is one IEEE addition, which rounds the exact
+    sum as fsum does (+ 0.0 turns a -0.0 into fsum's 0.0; an overflow gives
+    inf where fsum raises), so only rows of more entries go through fsum."""
+    head = x[:, :2]
+    out = np.where(np.arange(head.shape[1]) < n[:, None], head, 0.0).sum(axis=1) + 0.0
+    long = (n > 2).nonzero()[0]
+    out[long] = [math.fsum(r[:k]) for r, k in zip(x[long].tolist(), n[long].tolist())]
+    return out
 
 
 def _binade(x: np.ndarray) -> np.ndarray:

@@ -177,22 +177,78 @@ class TestFundamentalFunction:
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 4.0 / 3.0])
     def test_orlicz_power_is_the_lp_closed_form(self, p):
-        # t^(1/p), as for Lp, cross-checked once against the generic path
-        from rispaces import orlicz as ol
-
+        # the Luxemburg solver's value, within 1e-12 of t^(1/p), with the
+        # float modular at most 1 there
         E = sp.orlicz_space(ol.power(p))
         ts = np.geomspace(1e-6, 1.0, 50)
-        assert sp._closed_form_checked(E)
-        assert np.array_equal(sp.fundamental_function(E, ts), ts ** (1.0 / p))
-        generic = [ol.luxemburg_norm(sf.indicator(t), E.phi) for t in ts]
-        assert np.allclose(generic, ts ** (1.0 / p), rtol=1e-12, atol=0.0)
+        got = sp.fundamental_function(E, ts)
+        indicators = sf.StepRows.stack([sf.indicator(t) for t in ts])
+        assert np.array_equal(got, sp.ri_norm_rows(indicators, E))
+        assert np.allclose(got, ts ** (1.0 / p), rtol=1e-12, atol=0.0)
+        for t, lam in zip(ts, got):
+            assert ol.modular(sf.indicator(t), E.phi, lam) <= 1.0
 
-    def test_closed_form_disagreement_is_an_error(self):
-        # phi(0+) = 0.5: the closed form phi(t) reads 0.50005 at t = 1e-4,
-        # where the generic Stieltjes sum gives 5e-5
+    def test_affine_lorentz_weight_is_the_stieltjes_sum(self):
+        # phi(0+) = 0.5: the indicator norm is w(t) - w(0), not w(t)
         E = sp.lorentz_space(wt.custom_weight(lambda t: 0.5 + 0.5 * t, "affine"))
-        with pytest.raises(sp.SpaceError, match="disagrees with generic"):
-            sp.fundamental_function(E, 0.5)
+        assert sp.fundamental_function(E, 0.5) == 0.25
+        assert sp.fundamental_function(E, 0.5) == sp.ri_norm(sf.indicator(0.5), E)
+
+    _FORMULA_GRID = np.concatenate(
+        (np.geomspace(1e-300, 1.0, 3000), np.random.default_rng(7).uniform(0.0, 1.0, 3000), [1.0])
+    )
+
+    @pytest.mark.parametrize("desc", [
+        "G1", "MG", "L1", "Lp:2", "Lp:3.5", f"Lp:{4.0 / 3.0!r}", "Linf",
+        "lorentz:power:0.5", "marcinkiewicz:power:0.3", "lorentz:logPsi",
+    ])
+    def test_generic_path_is_the_formula(self, desc):
+        # w(t), t / w(t) and t^(1/p), bit for bit, from the indicator batch
+        E, ts = sp.parse_space(desc), self._FORMULA_GRID
+        if E.kind == "lorentz":
+            formula = E.weight(ts)
+        elif E.kind == "marcinkiewicz":
+            formula = ts / E.weight(ts)
+        else:
+            formula = ts ** (1.0 / E.p)
+        got = sp.fundamental_function(E, ts)
+        assert np.array_equal(got, formula)
+        stacked = sf.StepRows.stack([sf.indicator(t) for t in ts])
+        assert np.array_equal(got, sp.ri_norm_rows(stacked, E))
+
+    def test_only_the_catalog_exp2_takes_the_closed_form(self):
+        ts = np.geomspace(1e-6, 1.0, 20)
+        rows = sf.StepRows.stack([sf.indicator(t) for t in ts])
+        named = sp.orlicz_space(ol.custom_orlicz(lambda s: np.expm1(2.0 * s * s), "exp2"))
+        got = sp.fundamental_function(named, ts)
+        assert np.array_equal(got, sp.ri_norm_rows(rows, named))
+        g = sp.fundamental_function(sp.space_G(), ts)
+        assert np.allclose(got, math.sqrt(2.0) * g, rtol=1e-12, atol=0.0)
+        parsed = sp.parse_space("orlicz:exp2")
+        assert parsed.phi is sp.space_G().phi
+        assert np.array_equal(sp.fundamental_function(parsed, ts), g)
+
+    @pytest.mark.parametrize("name", sorted(sp.catalog()))
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.5, 1.5, math.inf])
+    def test_names_the_t_outside_the_range(self, name, bad):
+        E = sp.catalog()[name]
+        for t in (bad, [0.5, bad], np.array([[0.5], [bad]])):
+            with pytest.raises(sp.SpaceError, match=f"t={bad}"):
+                sp.fundamental_function(E, t)
+
+    @pytest.mark.parametrize("desc", ["G", "G1", "MG", "L1", "Linf", "orlicz:hinge:2"])
+    def test_output_has_the_shape_of_t(self, desc):
+        E = sp.parse_space(desc)
+        ts = np.geomspace(1e-3, 1.0, 6)
+        flat = sp.fundamental_function(E, ts)
+        assert flat.shape == (6,)
+        grid = sp.fundamental_function(E, ts.reshape(2, 3))
+        assert grid.shape == (2, 3) and np.array_equal(grid.ravel(), flat)
+        assert np.array_equal(sp.fundamental_function(E, ts.tolist()), flat)
+        for t, want in zip(ts, flat):
+            got = sp.fundamental_function(E, np.float64(t))
+            assert type(got) is float and got == want
+            assert sp.fundamental_function(E, float(t)) == want
 
 
 class TestEnvelopeWeight:

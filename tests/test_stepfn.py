@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -152,6 +152,24 @@ class TestRearrangeRows:
         assert rows.lengths[0].tolist() == [1.0, 0.0, 0.0]
         assert rows.row(1) == F([0, 0.25, 0.5, 1], [1.0, 3.0, 2.0])
 
+    @given(st.lists(st.floats(min_value=5e-324, max_value=1.0), min_size=1, max_size=8))
+    @example([1.0, 1e-300])
+    @settings(max_examples=200, deadline=None)
+    def test_indicators_are_the_stacked_indicators(self, ts):
+        ts.append(0.5)  # stack is one cell wide where every t is 1
+        got = sf.StepRows.indicators(ts)
+        want = sf.StepRows.stack([sf.indicator(t) for t in ts])
+        for name in ("breakpoints", "values", "counts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and bits(a) == bits(b)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, 2.0, math.inf])
+    def test_indicators_reject_t_outside_the_range(self, bad):
+        with pytest.raises(sf.StepFunctionError, match=f"t={bad}"):
+            sf.StepRows.indicators([0.5, bad])
+        with pytest.raises(sf.StepFunctionError, match=f"t={bad}"):
+            sf.indicator(bad)
+
 
 class TestIntegrals:
     def test_constant(self):
@@ -166,6 +184,17 @@ class TestIntegrals:
 
     def test_partial_of_indicator(self):
         assert sf.partial_integral(sf.indicator(0.5), 0.25) == 0.25
+
+    def test_row_sums_are_fsum_bitwise(self):
+        # signed zeros, subnormals and cancellation, on rows of 0 to 4 terms
+        rng = np.random.default_rng(3)
+        x = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e-16, 3.5e300, -3.5e300],
+                       size=(400, 4))
+        n = rng.integers(0, 5, size=400)
+        x[:5], n[:5] = -0.0, np.arange(5)  # fsum gives 0.0 where IEEE gives -0.0
+        want = [math.fsum(r[:k]) for r, k in zip(x.tolist(), n.tolist())]
+        assert bits(sf._fsum_rows(x, n)) == bits(want)
+        assert bits(sf._fsum_rows(x[:, :1], np.ones(400, int))) == bits(x[:, 0] + 0.0)
 
     def test_partial_at_zero(self):
         assert sf.partial_integral(sf.constant(7.0), 0.0) == 0.0
