@@ -11,7 +11,9 @@ for step functions and finite-valued Phi, so the norm is bracketed between
 and the bracket is closed to 1e-12 relative. Where Phi comes with its
 derivative (every catalog Phi), Newton's method in mu = 1/lam closes it, in
 which the modular M(mu) = sum_i l_i Phi(mu |v_i|) is convex and increasing;
-bisection finishes the job and stands in wherever Newton cannot run.
+bisection finishes the job and stands in wherever Newton cannot run. Each
+root find evaluates f/lam and Phi(f/lam) into one workspace of the rows'
+size, through `OrliczFunction.__call__(s, out)`.
 """
 
 from __future__ import annotations
@@ -60,22 +62,35 @@ class OrliczFunction:
     the CLI (`exp2`, `power:p`, `hinge:a`, `custom`). The optional `dphi`
     lets the Luxemburg norm use Newton's method; it only proposes points, so
     an inexact one costs evaluations, not accuracy. `p` is set by `power`
-    alone: Phi is |s|^p, and the Luxemburg norm is the Lp norm.
+    alone: Phi is |s|^p, and the Luxemburg norm is the Lp norm. `takes_out`
+    is set by the catalog constructors: `fn(s, out)` evaluates into `out`
+    (a new array where `out` is None), with the bits of `fn(s)`.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    fn: Callable[..., np.ndarray] = field(repr=False)
     descriptor: str = "custom"
     # dphi(s, y) is the derivative Phi'(s) given y = Phi(s); it may overwrite y
     dphi: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
         default=None, repr=False
     )
     p: Optional[float] = field(default=None, init=False, repr=False)
+    takes_out: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         _validate(self.fn, self.descriptor)
 
-    def __call__(self, s) -> np.ndarray:
-        return self.fn(np.asarray(s, dtype=np.float64))
+    def __call__(self, s, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Phi(s), evaluated into `out` where given: a float64 array of the
+        shape of s that must not alias s. Without `takes_out`, fn(s) is
+        copied into it."""
+        s = np.asarray(s, dtype=np.float64)
+        if self.takes_out:
+            return self.fn(s, out)
+        y = self.fn(s)
+        if out is None:
+            return y
+        out[...] = y
+        return out
 
     def __repr__(self) -> str:
         return f"OrliczFunction({self.descriptor})"
@@ -106,6 +121,17 @@ def _validate(fn, descriptor: str, tol: float = 1e-9) -> None:
         raise OrliczError(f"{descriptor}: bounded, Phi(inf) = {top}, expected inf")
 
 
+def _catalog(fn, descriptor: str, dphi) -> OrliczFunction:
+    """A catalog Phi, whose body `fn(s, out=None)` evaluates into `out`."""
+    phi = OrliczFunction(fn, descriptor, dphi)
+    object.__setattr__(phi, "takes_out", True)
+    return phi
+
+
+def _exp2(s, out=None):
+    return np.expm1(np.multiply(s, s, out), out)
+
+
 def _exp2_dphi(s, y):
     # 2 s exp(s^2) = 2 s (Phi + 1), in place on y
     y += 1.0
@@ -118,7 +144,7 @@ def _exp2_dphi(s, y):
 def exp_square() -> OrliczFunction:
     """Phi(s) = exp(s^2) - 1, the generator of the space G: one instance,
     which `spaces.fundamental_function` recognizes by identity."""
-    return OrliczFunction(lambda s: np.expm1(s * s), "exp2", _exp2_dphi)
+    return _catalog(_exp2, "exp2", _exp2_dphi)
 
 
 def power(p: float) -> OrliczFunction:
@@ -133,7 +159,10 @@ def power(p: float) -> OrliczFunction:
         y *= p
         return y
 
-    phi = OrliczFunction(lambda s: np.abs(s) ** p, f"power:{p:g}", dphi)
+    def fn(s, out=None):
+        return np.power(np.abs(s, out), p, out)
+
+    phi = _catalog(fn, f"power:{p:g}", dphi)
     object.__setattr__(phi, "p", float(p))
     return phi
 
@@ -143,11 +172,15 @@ def hinge(a: float) -> OrliczFunction:
     integral of the rearrangement up to t = 1/a."""
     if not 0.0 <= a < math.inf:  # an infinite offset gives Phi = 0: no norm exists
         raise OrliczError(f"hinge offset must be finite and >= 0, got {a}")
-    return OrliczFunction(
-        lambda s: np.maximum(np.abs(s) - a, 0.0),
-        f"hinge:{a:g}",
-        lambda s, y: np.copysign(y > 0.0, s, out=y),  # sign(s) 1{|s| > a}
-    )
+
+    def fn(s, out=None):
+        return np.maximum(np.subtract(np.abs(s, out), a, out), 0.0, out=out)
+
+    def dphi(s, y):  # sign(s) 1{|s| > a}, in place on y
+        np.greater(y, 0.0, out=y)
+        return np.copysign(y, s, out=y)
+
+    return _catalog(fn, f"hinge:{a:g}", dphi)
 
 
 def custom_orlicz(fn: Callable[[np.ndarray], np.ndarray], name: str = "custom") -> OrliczFunction:
@@ -227,23 +260,25 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
     live = (sup > 0.0).nonzero()[0]  # rows that may still hold the largest norm
     rows = values if len(live) == len(values) else values[live]
     overflow = 0.0  # the largest lam at which the largest modular read inf
+    s = y = None  # rows / lam and Phi of it: one workspace, made at the first evaluation
 
     def max_modular(lam, slope=False):
-        nonlocal live, rows, overflow
-        S = rows / lam
-        Y = phi(S)
-        m = Y @ lengths
+        nonlocal live, rows, overflow, s, y
+        if s is None:
+            s, y = np.empty_like(rows), np.empty_like(rows)
+        np.divide(rows, lam, s)
+        m = phi(s, y) @ lengths
         i = m.argmax()
         largest = float(m[i])
         if largest == math.inf:
             overflow = max(overflow, lam)
+        result = (largest, _slope(phi, s[i], y[i], lengths)) if slope else largest
         if largest > 1.0 and len(live) > 1:  # a lone row is the largest
             keep = m > 1.0
             if not keep.all():
                 live, rows = live[keep], rows[keep]
-        if slope:
-            return largest, _slope(phi, S[i], Y[i], lengths)
-        return largest
+                s, y = s[: len(rows)], y[: len(rows)]  # the surviving rows lead
+        return result
 
     with np.errstate(over="ignore"):
         found = None
@@ -322,14 +357,19 @@ def _find_root(mod, lam: float, newton: bool) -> float:
     for _ in range(MAX_BISECT_ITER):
         if hi - lo <= BISECT_RTOL * hi:
             break
-        mid = 0.5 * (lo + hi)
-        if mid == math.inf:  # lo + hi overflows in the top binade
-            mid = 0.5 * lo + 0.5 * hi
+        mid = _midpoint(lo, hi)
         if mod(mid) <= 1.0:
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    mid = 0.5 * (lo + hi)
+    if mid == math.inf:  # lo + hi overflows in the top binade
+        mid = 0.5 * lo + 0.5 * hi
+    return mid
 
 
 # Newton's points are trusted only after the modular has been evaluated
@@ -351,10 +391,10 @@ def _bisections(lo: float, hi: float) -> int:
 
 def _tangent_root(x: float, m: float, d: float) -> float:
     """The lam where the tangent of M(mu) at mu = 1/x meets 1, from M = m and
-    d = mu dM/dmu; nan where there is none. For convex M it is at most the
-    norm, from either side."""
+    d = mu dM/dmu; nan where there is none, as where the tangent is flat
+    (d = 0). For convex M it is at most the norm, from either side."""
     den = d - (m - 1.0)  # mu' = mu - (m - 1) / (dM/dmu), so lam' = x d / den
-    if math.isfinite(m) and math.isfinite(d) and den > 0.0:
+    if math.isfinite(m) and math.isfinite(d) and d > 0.0 and den > 0.0:
         return x * (d / den)
     return math.nan
 
@@ -365,14 +405,19 @@ def _newton(mod, lo: float, hi: float, starts):
     M(mu) is convex and increasing, so the tangent at any point meets 1 at
     a lam below the norm. Newton starts from the higher of the tangent
     roots of `starts`, (lam, M, slope) at lo and hi, and the points rise
-    to the norm quadratically. A point only proposes: it moves lo or hi
-    after mod(p, slope=True) is evaluated there. Once the
-    next step is predicted below _NEWTON_RTOL, the points (1 +- _PROBE)
-    times the proposal are evaluated with `mod`, closing the bracket. The
-    upper one becomes hi even where an evaluated point at the norm itself
-    was lower, so that the returned lam is about _PROBE above the norm: no
-    summation order reads its modular above 1, and it lies within 6e-13 of
-    what bisection returns.
+    to the norm quadratically. Where neither has a tangent root (a modular
+    or slope that is not finite, or a flat tangent), the bracket is bisected
+    with the slope until a point has one, and Newton starts from there. A
+    point only proposes: it moves lo or hi after mod(p, slope=True) is
+    evaluated there. A tangent root that reads the modular <= 1 and has no
+    tangent root of its own (a flat tangent, as at a kink of M) bounds the
+    norm from both sides: Newton has converged there. Once the next step is
+    predicted below _NEWTON_RTOL, the points (1 +- _PROBE) times the
+    proposal are evaluated with `mod`, closing the bracket. The upper one
+    becomes hi even where an evaluated point at the norm itself was lower,
+    so that the returned lam is about _PROBE above the norm: no summation
+    order reads its modular above 1, and it lies within 6e-13 of what
+    bisection returns.
 
     The safeguard: a proposal outside (lo, hi), or a non-finite modular or
     slope, ends Newton. Newton evaluates only while the bisection that
@@ -398,11 +443,25 @@ def _newton(mod, lo: float, hi: float, starts):
         else:
             lo = p
 
+    def tangent(p):  # probe p with the slope; the tangent root there
+        nonlocal used, lo, hi
+        used += 1
+        m, d = mod(p, slope=True)
+        if m <= 1.0:
+            hi = p
+        else:
+            lo = p
+        return _tangent_root(p, m, d)
+
     g = x = math.nan
     for t in starts:  # hi first, so that a tie goes to the nearer point
         r = _tangent_root(*t)
         if math.isnan(g) or r > g:
             g, x = r, t[0]
+    while math.isnan(g) and hi - lo > BISECT_RTOL * hi:
+        # no tangent meets 1 yet: bisect, with the slope, until one does
+        x = _midpoint(lo, hi)
+        g = tangent(x)
     prev = 0.0  # the previous step, none yet
     while math.isfinite(g):
         step = abs(g - x)
@@ -426,11 +485,7 @@ def _newton(mod, lo: float, hi: float, starts):
         if not room(1):
             break
         x, prev = g, step
-        m, d = mod(x, slope=True)
-        used += 1
-        if m <= 1.0:
-            hi = x
-        else:
-            lo = x
-        g = _tangent_root(x, m, d)
+        g = tangent(x)
+        if math.isnan(g) and hi == x:
+            g = x  # the norm lies in [x, hi] = [x, x]: see the docstring
     return lo, hi

@@ -8,7 +8,9 @@ vectors with eps_0 = +1 (the others are their exact negations) or by binomial
 weights when all coefficients are equal. Breakpoints are cum/2^n for the
 running atom count cum, with no rationals: float64 holds them exactly while
 cum < 2^53 (every enumeration, and the binomial path to n = 53) and rounds to
-the nearest double beyond (at n = 60, 8 of the 30 inner breakpoints).
+the nearest double beyond (at n = 60, 8 of the 30 inner breakpoints). The
+enumerated sums are sorted and compacted in place: one buffer of 2^(n-1)
+doubles, a mask of run starts, and the breakpoints.
 """
 
 from __future__ import annotations
@@ -68,16 +70,16 @@ def signed_sum(coeffs: Sequence[float], signs: Sequence[int]) -> StepFunction:
     return StepFunction(_dyadic_breaks(n), _kernel.enumerate_signed_sums(signs * coeffs))
 
 
-def _atoms_to_step(values_desc: np.ndarray, counts, denominator: int) -> StepFunction:
-    """Step function from atoms (value, count/denominator), values descending.
+def _atoms_to_step(values_desc: np.ndarray, cum: np.ndarray, denominator: int) -> StepFunction:
+    """Step function from atoms in descending order of value: atom i holds
+    values_desc[i] on (cum[i], cum[i+1]] / denominator.
 
-    Each breakpoint is the double nearest to cum/2^n: the int64 running count
-    is rounded once to float64, and dividing by 2^n (n <= 60) is exact."""
+    `cum` holds the running atom counts in float64, from 0 to `denominator`
+    = 2^n (n <= 60), each the double nearest to its count. It is divided in
+    place, exactly, so each breakpoint is the double nearest to cum/2^n."""
     if denominator < 1 or denominator & (denominator - 1) or denominator > 1 << 60:
         raise RademacherError(f"denominator must be 2^n with n <= 60, got {denominator}")
-    breaks = np.zeros(len(counts) + 1)
-    np.divide(np.cumsum(counts, dtype=np.int64), float(denominator), out=breaks[1:])
-    breaks[-1] = 1.0
+    breaks = np.divide(cum, float(denominator), out=cum)
     # cum/2^n is exact up to n = 53, so positive counts give strictly
     # increasing breakpoints; strictly decreasing finite values are then canonical
     if (denominator <= 1 << 53 and np.isfinite(values_desc).all()
@@ -91,7 +93,8 @@ def sum_rearrangement(coeffs: Sequence[float]) -> StepFunction:
 
     2^n atoms of measure 2^-n, compacted, with eps_0 = -1 counted by symmetry;
     equal coefficients go through binomial weights C(n,k) on the values
-    |n-2k|*|a| instead of enumeration.
+    |n-2k|*|a| instead of enumeration. The enumerated atoms are sorted and
+    compacted in their own buffer, which holds the values when all differ.
     """
     a = np.asarray(coeffs, dtype=np.float64)
     n = len(a)
@@ -109,15 +112,29 @@ def sum_rearrangement(coeffs: Sequence[float]) -> StepFunction:
                 weight *= 2
             values.append(c * (n - 2 * k))
             counts.append(weight)
-        return _atoms_to_step(np.asarray(values), counts, 1 << n)
+        cum = np.zeros(len(counts) + 1)
+        cum[1:] = np.cumsum(counts, dtype=np.int64)  # each count rounded once
+        return _atoms_to_step(np.asarray(values), cum, 1 << n)
     if n > MAX_ENUM_N:
         raise RademacherError(f"n={n} exceeds the enumeration cap {MAX_ENUM_N}")
     # eps_0 = -1 gives the exact negations, so the 2^(n-1) sums with
     # eps_0 = +1 carry the distribution; starting at a[0] keeps the order
-    sums = np.abs(_kernel.enumerate_signed_sums(a[1:], start=a[0]))
-    values, counts = np.unique(sums, return_counts=True)
-    # copied: the atoms keep the contiguous layout the validating constructor gave them
-    return _atoms_to_step(values[::-1].copy(), counts[::-1], 1 << (n - 1))
+    atoms = _kernel.enumerate_signed_sums(a[1:], start=a[0])
+    size = len(atoms)
+    # sorted in place: -|s| ascending is |s| descending
+    np.negative(np.abs(atoms, out=atoms), out=atoms)
+    atoms.sort()
+    np.negative(atoms, out=atoms)
+    new = np.empty(size, dtype=bool)  # where a run of equal atoms starts
+    new[0] = True
+    np.not_equal(atoms[1:], atoms[:-1], out=new[1:])
+    if new.all():
+        return _atoms_to_step(atoms, np.arange(size + 1, dtype=np.float64), size)
+    first = np.flatnonzero(new)
+    cum = np.empty(len(first) + 1)  # the atoms before each run, then all of them
+    cum[:-1] = first
+    cum[-1] = size
+    return _atoms_to_step(atoms[first], cum, size)
 
 
 def rademacher_sum_norm(coeffs: Sequence[float], E: SpaceSpec) -> float:

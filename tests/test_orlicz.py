@@ -55,6 +55,53 @@ class TestOrliczFunctions:
         assert float(phi(1.0)) == pytest.approx(math.e - 1.0, rel=1e-15)
 
 
+# signed zeros, subnormals, infinities, and values whose Phi overflows
+PHI_INPUTS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-160, 0.5, -1.0,
+                       1.0 + 2.0 ** -52, -3.0, 26.6, 27.0, -1e154, 1e200, 1.7e308,
+                       -1.7976931348623157e308, math.inf, -math.inf])
+
+
+class TestEvaluateInto:
+    """phi(s, out=y) writes Phi(s) into y, with the bits of phi(s) and of
+    the plain numpy expression of each catalog Phi."""
+
+    @staticmethod
+    def _check(phi, want):
+        y = np.full_like(PHI_INPUTS, np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = phi(PHI_INPUTS, out=y)
+            fresh = phi(PHI_INPUTS)
+        assert got is y
+        assert y.tobytes() == fresh.tobytes() == want.tobytes()
+
+    def test_exp2(self):
+        with np.errstate(over="ignore"):
+            self._check(ol.exp_square(), np.expm1(PHI_INPUTS * PHI_INPUTS))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 4.0 / 3.0, 2000.0])
+    def test_power(self, p, monkeypatch):
+        # the validator's grid reaches 12, and 12^2000 overflows: skip it to
+        # build power(2000)
+        monkeypatch.setattr(ol, "_validate", lambda fn, descriptor: None)
+        with np.errstate(over="ignore"):
+            self._check(ol.power(p), np.abs(PHI_INPUTS) ** p)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 1e308])
+    def test_hinge(self, a):
+        self._check(ol.hinge(a), np.maximum(np.abs(PHI_INPUTS) - a, 0.0))
+
+    def test_custom_phi_is_copied_into_out(self):
+        phi = ol.custom_orlicz(lambda s: s * s, "square")
+        assert not phi.takes_out
+        with np.errstate(over="ignore"):
+            self._check(phi, PHI_INPUTS * PHI_INPUTS)
+
+    def test_only_catalog_bodies_take_out(self):
+        for phi in (ol.exp_square(), ol.power(2.0), ol.hinge(1.0)):
+            assert phi.takes_out
+            assert not ol.OrliczFunction(phi.fn, phi.descriptor, phi.dphi).takes_out
+
+
 class TestModular:
     def test_constant_power(self):
         # constant 2, Phi(s)=s^2, lam=2
@@ -349,17 +396,32 @@ class TestTinyNorms:
         got = ol.luxemburg_norm(sf.indicator(1e-308), phi)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_no_tangent_at_either_end(self):
+        # the bracket is [2^-1023, 2^-1022]: 2/lam overflows at its lower end,
+        # and the modular is 0, with a flat tangent, at its upper end; the
+        # bisection points then start Newton, which lands on the kink of M at
+        # the norm (bisection alone takes 40 evaluations after the gallop's 21)
+        base = ol.parse_orlicz("hinge:1e308")
+        phi, calls = _counting(base, base.dphi)
+        f = sf.step_function([0.0, 0.5, 1.0], [1.0, -2.0])
+        norm = ol.luxemburg_norm(f, phi)
+        assert norm == pytest.approx(2.000000000000804e-308, rel=1e-12, abs=0.0)
+        assert ol.modular(f, base, norm) <= 1.0
+        assert calls[0] <= 30
+
 
 def _counting(phi, dphi):
     """(Phi, calls): `phi` with a count of its evaluations in calls[0], and
-    `dphi` as its derivative (None: a custom Phi)."""
+    `dphi` as its derivative (None: a custom Phi). It passes `out` on to
+    phi, so a catalog body still evaluates in place, as in the solver."""
     calls = [0]
 
-    def fn(s):
+    def fn(s, out=None):
         calls[0] += 1
-        return phi.fn(s)
+        return phi(s, out)
 
     counted = ol.OrliczFunction(fn, phi.descriptor, dphi)
+    object.__setattr__(counted, "takes_out", True)  # as the catalog constructors record it
     calls[0] = 0  # not the validation's evaluations
     return counted, calls
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     signed_sums,
     validating_canonical,
 )
+from rispaces import orlicz as ol
 from rispaces import rademacher as rd
 from rispaces import stepfn as sf
 from rispaces import spaces as sp
@@ -112,7 +114,8 @@ class TestSumRearrangement:
                 binom = rd.sum_rearrangement([a] * n)
                 sums = np.abs(enum_py(np.full(n, a)))
                 vals, counts = np.unique(sums, return_counts=True)
-                direct = rd._atoms_to_step(vals[::-1], counts[::-1], 1 << n)
+                cum = np.concatenate(([0.0], np.cumsum(counts[::-1])))
+                direct = rd._atoms_to_step(vals[::-1], cum, 1 << n)
                 assert binom == direct
 
     def test_matches_rearranged_signed_sum(self, rng):
@@ -188,6 +191,11 @@ def _bitwise_equal(f: sf.StepFunction, g: sf.StepFunction) -> bool:
             and f.values.tobytes() == g.values.tobytes())
 
 
+def _unit_vector(n: int) -> np.ndarray:
+    a = np.random.default_rng(n).normal(size=n)
+    return a / np.linalg.norm(a)
+
+
 class TestExactDistribution:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=20))
@@ -210,10 +218,26 @@ class TestExactDistribution:
         coeffs = [float(c) for c in coeffs]
         assert _bitwise_equal(rd.sum_rearrangement(coeffs), _fraction_reference(coeffs))
 
+    @pytest.mark.parametrize("n", [17, 20])
+    @pytest.mark.parametrize("case", ["unit", "lattice", "zero", "negative zero"])
+    def test_large_n_match_fraction_reference(self, n, case):
+        # the lists above rarely reach these lengths; a unit vector's sums all
+        # differ, and the other cases tie
+        a = _unit_vector(n)
+        if case == "lattice":
+            a = np.random.default_rng(n).integers(-3, 4, size=n).astype(float)
+        elif case == "zero":
+            a[n // 2] = 0.0  # every sum twice
+        elif case == "negative zero":
+            a[0] = -0.0  # the enumeration starts at -0.0
+        f = rd.sum_rearrangement(a)
+        assert _bitwise_equal(f, _fraction_reference(a))
+        assert (f.k == 1 << (n - 1)) == (case == "unit")
+
     def test_rejects_denominator_not_power_of_two(self):
         for bad in (0, 3, 12, 1 << 61):
             with pytest.raises(rd.RademacherError):
-                rd._atoms_to_step(np.array([1.0]), [bad], bad)
+                rd._atoms_to_step(np.array([1.0]), np.array([0.0, bad]), bad)
 
 
 class TestKernel:
@@ -269,3 +293,32 @@ class TestNorms:
             assert rd.rademacher_sum_norm(a, E) == pytest.approx(
                 float(np.linalg.norm(a)), rel=1e-10
             )
+
+
+class TestAllocation:
+    """Peak bytes that tracemalloc sees, in rows of 2^17 doubles, for a sum
+    of 18 Rademacher functions: the sums are sorted and compacted in their
+    own buffer, and the root finder evaluates into one workspace."""
+
+    ROW = 8 << 17
+
+    def _peak_rows(self, fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / self.ROW
+        finally:
+            tracemalloc.stop()
+
+    def test_sum_rearrangement(self):
+        a = _unit_vector(18)
+        # the enumeration buffer, now the values, and the breakpoints
+        assert self._peak_rows(lambda: rd.sum_rearrangement(a)) < 3.0
+
+    @pytest.mark.parametrize("desc", ["exp2", "power:2", "hinge:1"])
+    def test_luxemburg_norm(self, desc):
+        f = rd.sum_rearrangement(_unit_vector(18))
+        assert f.k == 1 << 17
+        phi = ol.parse_orlicz(desc)
+        # the lengths, f/lam and Phi(f/lam)
+        assert self._peak_rows(lambda: ol.luxemburg_norm(f, phi)) < 3.25
