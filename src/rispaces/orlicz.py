@@ -1,23 +1,29 @@
 """Orlicz functions, the convex modular, and the Luxemburg norm.
 
 The Luxemburg norm of f is inf{lam > 0 : integral Phi(f/lam) <= 1}. One
-solver computes it: `luxemburg_norm_max` finds the largest norm among rows
-of values on one partition, and `luxemburg_norm` is its one-row case. For
-Phi(s) = |s|^p the modular is lam^(-p) integral |f|^p, so the norm is the Lp
-norm: the solver takes it in closed form and only checks the modular there.
-Otherwise it searches: the modular is continuous and non-increasing in lam
-for step functions and finite-valued Phi, so the norm is bracketed between
-||f||_inf 2^j and ||f||_inf 2^(j+1) by a galloping search on the integer j,
-and the bracket is closed to 1e-12 relative. Where Phi comes with its
-derivative (every catalog Phi), Newton's method in mu = 1/lam closes it, in
-which the modular M(mu) = sum_i l_i Phi(mu |v_i|) is convex and increasing;
-bisection finishes the job and stands in wherever Newton cannot run. Each
-root find evaluates f/lam and Phi(f/lam) into one workspace of the rows'
-size, through `OrliczFunction.__call__(s, out)`.
+solver computes it. Its search is written once, as a generator that asks for
+the modular at the lam it chooses and is sent the value, so it runs under
+two drivers: `luxemburg_norm_max` runs one search on the largest modular
+among rows of values on one partition (`luxemburg_norm` is its one-row
+case), and `luxemburg_norm_rows` runs one search per row of a padded batch,
+in lock-step, evaluating every pending row in one pass of Phi per piece
+count. For Phi(s) = |s|^p the modular is lam^(-p) integral |f|^p, so the
+norm is the Lp norm: the search takes it in closed form and only checks the
+modular there. Otherwise it brackets: the modular is continuous and
+non-increasing in lam for step functions and finite-valued Phi, so the norm
+is bracketed between ||f||_inf 2^j and ||f||_inf 2^(j+1) by a galloping
+search on the integer j, and the bracket is closed to 1e-12 relative. Where
+Phi comes with its derivative (every catalog Phi), Newton's method in
+mu = 1/lam closes it, in which the modular M(mu) = sum_i l_i Phi(mu |v_i|)
+is convex and increasing; bisection finishes the job and stands in wherever
+Newton cannot run. Each driver evaluates f/lam and Phi(f/lam) into
+workspaces of the rows' size that it reuses, through
+`OrliczFunction.__call__(s, out)`.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -25,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .stepfn import StepFunction, _descriptor_number, lp_norm_rows
+from .stepfn import StepFunction, _descriptor_number, _lp_of_abs, lp_norm_rows
 
 __all__ = [
     "OrliczFunction",
@@ -38,6 +44,7 @@ __all__ = [
     "modular",
     "luxemburg_norm",
     "luxemburg_norm_max",
+    "luxemburg_norm_rows",
     "BISECT_RTOL",
     "MAX_BISECT_ITER",
 ]
@@ -97,23 +104,30 @@ class OrliczFunction:
 
 
 def _validate(fn, descriptor: str, tol: float = 1e-9) -> None:
+    """Checks Phi on a grid of s in [0, 12], where Phi may overflow to +inf
+    above s = 1 (as |s|^p does for p above about 285): inf - inf is nan,
+    which passes the comparisons below, and each check that inf could fool
+    compares where Phi is inf as well."""
     s = _VALIDATION_GRID
-    y = np.asarray(fn(s), dtype=np.float64)
-    if not np.all(np.isfinite(y)):
+    mid = (s[:-1] + s[1:]) / 2.0
+    with np.errstate(over="ignore"):
+        y, y_neg, y_mid = (np.asarray(fn(x), dtype=np.float64) for x in (s, -s, mid))
+    if np.any(np.isnan(y) | ((y == math.inf) & (s <= 1.0))):
         raise OrliczError(f"{descriptor}: non-finite values on the test grid")
     if abs(y[0]) > 0.0:
         raise OrliczError(f"{descriptor}: Phi(0) = {y[0]}, expected 0")
     if np.any(y < -tol):
         raise OrliczError(f"{descriptor}: negative values")
-    y_neg = np.asarray(fn(-s), dtype=np.float64)
-    if np.any(np.abs(y - y_neg) > tol * (1.0 + np.abs(y))):
+    with np.errstate(invalid="ignore"):
+        odd = np.any((np.isinf(y) != np.isinf(y_neg)) | (np.abs(y - y_neg) > tol * (1.0 + np.abs(y))))
+        falls = np.any(np.diff(y) < -tol * (1.0 + np.abs(y[1:])))
+        slack = tol * (1.0 + (np.abs(y[:-1]) + np.abs(y[1:])) / 2.0)
+        concave = np.any(y_mid > (y[:-1] + y[1:]) / 2.0 + slack)
+    if odd:
         raise OrliczError(f"{descriptor}: not even")
-    if np.any(np.diff(y) < -tol * (1.0 + np.abs(y[1:]))):
+    if falls:
         raise OrliczError(f"{descriptor}: not non-decreasing on [0, inf)")
-    mid = (s[:-1] + s[1:]) / 2.0
-    y_mid = np.asarray(fn(mid), dtype=np.float64)
-    slack = tol * (1.0 + (np.abs(y[:-1]) + np.abs(y[1:])) / 2.0)
-    if np.any(y_mid > (y[:-1] + y[1:]) / 2.0 + slack):
+    if concave:
         raise OrliczError(f"{descriptor}: midpoint convexity fails")
     with np.errstate(all="ignore"):
         top = float(np.asarray(fn(np.array([math.inf])), dtype=np.float64)[0])
@@ -167,6 +181,14 @@ def power(p: float) -> OrliczFunction:
     return phi
 
 
+def _without_p(phi: OrliczFunction) -> OrliczFunction:
+    """phi without its exponent `p`, so that its Luxemburg norm takes the root
+    find; every other field is kept, `takes_out` included."""
+    plain = copy.copy(phi)
+    object.__setattr__(plain, "p", None)
+    return plain
+
+
 def hinge(a: float) -> OrliczFunction:
     """Phi(s) = (|s| - a)^+; its Luxemburg norm sandwiches the partial
     integral of the rearrangement up to t = 1/a."""
@@ -208,14 +230,22 @@ def modular(f: StepFunction, phi: OrliczFunction, lam: float) -> float:
     return float(np.dot(phi(f.values / lam), f.lengths))
 
 
-def _slope(phi: OrliczFunction, s: np.ndarray, y: np.ndarray, lengths: np.ndarray) -> float:
-    """sum_i l_i s_i Phi'(s_i) for s = v/lam and y = Phi(s), which is mu times
-    dM/dmu at mu = 1/lam; y is overwritten. Overflow gives inf or nan, which
-    the solver reads as "no Newton step"."""
+def _slope(phi: OrliczFunction, s: np.ndarray, y: np.ndarray, lengths: np.ndarray, dot):
+    """dot(s Phi'(s), lengths), the sum of l_i s_i Phi'(s_i), for s = v/lam and
+    y = Phi(s): mu times dM/dmu at mu = 1/lam. `dot` is np.dot for one row
+    and `_row_dots` for rows; y is overwritten. Overflow gives inf or nan,
+    which the solver reads as "no Newton step"."""
     with np.errstate(over="ignore", invalid="ignore"):
         d = phi.dphi(s, y)
         d *= s
-        return float(np.dot(d, lengths))
+        return dot(d, lengths)
+
+
+def _row_dots(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The dot of each row of x with the same row of lengths, each by the
+    BLAS dot of a one-row `x @ l`, bit for bit. (Over padding cells the dot
+    would sum in another order.)"""
+    return np.matmul(x[:, None, :], lengths[:, :, None])[:, 0, 0]
 
 
 def luxemburg_norm(f: StepFunction, phi: OrliczFunction) -> float:
@@ -272,7 +302,7 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
         largest = float(m[i])
         if largest == math.inf:
             overflow = max(overflow, lam)
-        result = (largest, _slope(phi, s[i], y[i], lengths)) if slope else largest
+        result = (largest, float(_slope(phi, s[i], y[i], lengths, np.dot))) if slope else largest
         if largest > 1.0 and len(live) > 1:  # a lone row is the largest
             keep = m > 1.0
             if not keep.all():
@@ -281,84 +311,212 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
         return result
 
     with np.errstate(over="ignore"):
-        found = None
+        norm = None
         if phi.p is not None:
-            found = _lp_norm_checked(live, rows, lengths, phi.p, max_modular)
-        if found is None:
-            norm = _find_root(max_modular, top, phi.dphi is not None)
-            found = int(live[0]), norm  # after the root find, which prunes `live`
-    index, norm = found
-    if norm <= overflow * (1.0 + 2.0 * BISECT_RTOL):
-        raise OrliczError(f"Phi(f/lam) overflows up to the norm, near {norm:.6g}")
+            norms = lp_norm_rows(rows, lengths, phi.p)
+            j = int(norms.argmax())
+            index = int(live[j])  # before the checks, which may prune `live`
+            norm = _drive(_closed_form(float(norms[j])), max_modular)
+        if norm is None:
+            norm = _drive(_find_root(top, phi.dphi is not None), max_modular)
+            index = int(live[0])  # after the root find, which prunes `live`
+    error = _overflow_error(norm, overflow)
+    if error is not None:
+        raise error
     return index, norm
 
 
-def _lp_norm_checked(live, rows, lengths, p: float, mod):
-    """(live[j], lam) for the lowest row j of `rows` of largest Lp norm: lam is
-    that norm or, where rounding reads mod(lam) above 1, lam (1 + _PROBE).
-    None where mod exceeds 1 at both or the norm is not a positive double."""
-    norms = lp_norm_rows(rows, lengths, p)
-    j = int(norms.argmax())
-    lam = float(norms[j])
-    if not 0.0 < lam < math.inf:
-        return None
-    for x in (lam, min(lam * (1.0 + _PROBE), _DBL_MAX)):
-        if mod(x) <= 1.0:
-            return int(live[j]), x
+def luxemburg_norm_rows(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunction) -> np.ndarray:
+    """The Luxemburg norm of each row: row i of `values` and `lengths` holds
+    a step function on its first k_i cells, those of positive length, then
+    padding cells of length 0 (the arrays of a `StepRows` batch). Each norm
+    is bitwise the `luxemburg_norm` of the row's k_i cells alone.
+
+    Each nonzero row has its own search, the one of `luxemburg_norm_max`: the
+    closed form for a power Phi, checked on the modular, then the root find
+    from the row's ||f||_inf. The searches run in lock-step. Each round
+    evaluates every pending row at its own lam, in one pass of Phi per group
+    of rows with the same k, and a row's modular and slope are dots over its
+    own k cells (`_row_dots`), as in its one-row case. A one-row batch takes
+    that one-row case, `luxemburg_norm_max`, itself: it evaluates on views of
+    the row, and each evaluation costs less than a round. An all-zero row
+    has norm 0. A row whose one-row case raises OrliczError makes the call
+    raise that error, the first row's first.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.float64)
+    counts = np.count_nonzero(lengths, axis=1)
+    if len(values) == 1:
+        k = int(counts[0])
+        return np.array([luxemburg_norm_max(values[:, :k], lengths[0, :k], phi)[1]])
+    norms = np.zeros(len(values))
+    errors = {}  # row -> its OrliczError
+    groups = []
+    with np.errstate(over="ignore"):
+        for k in np.unique(counts).tolist():
+            index = (counts == k).nonzero()[0]
+            V, L = values[index, :k], lengths[index, :k]
+            sup = np.abs(V).max(axis=1)
+            live = sup > 0.0
+            if not live.all():
+                index, V, L, sup = index[live], V[live], L[live], sup[live]
+            closed = [None] * len(index)
+            if phi.p is not None:
+                closed = _lp_of_abs(np.abs(V), phi.p, lambda a: _row_dots(a, L)).tolist()
+            searches = [_row_search(lam, top, phi.dphi is not None)
+                        for lam, top in zip(closed, sup.tolist())]
+            if searches:
+                groups.append(_Lockstep(index, V, L, searches))
+        while groups:
+            groups = [g for g in groups if g.round(phi, norms, errors)]
+    if errors:
+        raise errors[min(errors)]
+    return norms
+
+
+class _Lockstep:
+    """The pending rows of one piece count k in `luxemburg_norm_rows`: their
+    cells, one workspace for V/lam and Phi of it, and for each row its search,
+    the (lam, slope) it asks for, and the largest lam at which its modular
+    read inf."""
+
+    def __init__(self, index, V, L, searches):
+        self.index, self.V, self.L = index.tolist(), V, L
+        self.S, self.Y = np.empty_like(V), np.empty_like(V)
+        self.searches = searches
+        self.requests = [next(search) for search in searches]
+        self.overflow = [0.0] * len(searches)
+
+    def round(self, phi, norms, errors) -> bool:
+        """Evaluate each row at its own lam and send it the modular, or the
+        modular and its slope. A row whose search ends leaves the group, its
+        norm in `norms` or its OrliczError in `errors`. False once none is
+        left."""
+        n = len(self.searches)
+        S, Y = self.S[:n], self.Y[:n]
+        np.divide(self.V, np.array([lam for lam, _ in self.requests])[:, None], S)
+        modulars = _row_dots(phi(S, Y), self.L).tolist()
+        if any(slope for _, slope in self.requests):  # every row's: one pass
+            slopes = _slope(phi, S, Y, self.L, _row_dots).tolist()
+        keep = []
+        for i, ((lam, slope), m) in enumerate(zip(self.requests, modulars)):
+            if m == math.inf:
+                self.overflow[i] = max(self.overflow[i], lam)
+            try:
+                self.requests[i] = self.searches[i].send((m, slopes[i]) if slope else m)
+                keep.append(i)
+            except StopIteration as stop:
+                norms[self.index[i]] = stop.value
+                error = _overflow_error(stop.value, self.overflow[i])
+                if error is not None:
+                    errors[self.index[i]] = error
+            except OrliczError as error:
+                errors[self.index[i]] = error
+        if len(keep) < n:
+            self.V, self.L = self.V[keep], self.L[keep]
+            self.index = [self.index[i] for i in keep]
+            self.searches = [self.searches[i] for i in keep]
+            self.requests = [self.requests[i] for i in keep]
+            self.overflow = [self.overflow[i] for i in keep]
+        return bool(keep)
+
+
+def _overflow_error(norm: float, overflow: float) -> Optional[OrliczError]:
+    """The error for a root at most the largest lam at which the modular read
+    inf: that root is the overflow threshold, not the norm. None otherwise."""
+    if norm <= overflow * (1.0 + 2.0 * BISECT_RTOL):
+        return OrliczError(f"Phi(f/lam) overflows up to the norm, near {norm:.6g}")
     return None
 
 
-def _find_root(mod, lam: float, newton: bool) -> float:
-    """Least lam, to BISECT_RTOL relative, with mod(lam) <= 1, for a
-    non-increasing modular `mod`.
+# A search is a generator: it yields (lam, slope) where it needs the modular
+# M(lam), and is sent M(lam), or (M(lam), its slope) when slope is set (see
+# `_newton`); it returns what it found. `_drive` runs one search against a
+# function, and `luxemburg_norm_rows` runs one per row in lock-step.
+
+
+def _drive(search, mod):
+    """What `search` returns when mod(lam, slope) answers its requests."""
+    try:
+        request = next(search)
+        while True:
+            request = search.send(mod(*request))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _closed_form(lam: float):
+    """Search: lam, the closed-form norm of a power Phi, or lam (1 + _PROBE)
+    where rounding reads the modular above 1, whichever the modular is <= 1
+    at first. None where it exceeds 1 at both or lam is not a positive
+    double."""
+    if 0.0 < lam < math.inf:
+        for x in (lam, min(lam * (1.0 + _PROBE), _DBL_MAX)):
+            if (yield x, False) <= 1.0:
+                return x
+    return None
+
+
+def _row_search(closed: Optional[float], top: float, newton: bool):
+    """Search: the norm of one row, the closed form `closed` where it is given
+    and checks out, else the root find from top = ||f||_inf."""
+    norm = None if closed is None else (yield from _closed_form(closed))
+    if norm is None:
+        norm = yield from _find_root(top, newton)
+    return norm
+
+
+def _find_root(lam: float, newton: bool):
+    """Search: the least lam, to BISECT_RTOL relative, with M(lam) <= 1, for
+    a non-increasing modular M.
 
     Brackets the root between lam 2^j and lam 2^(j+1), clamped to the
     positive doubles, by a galloping search on the integer j: it tries
     j = +-1, +-2, +-4, ... until the modular crosses 1, then bisects on j. A
     modular <= 1 at the least positive double returns that double; one above
     1 at the largest double raises OrliczError. Then it closes the bracket:
-    by Newton's method in mu = 1/lam when `newton` is set, for which
-    mod(lam, slope=True) gives (mod(lam), its slope) (see `_newton`), and by
-    bisection. Returns the upper end of the bracket.
+    by Newton's method in mu = 1/lam when `newton` is set, which asks for
+    the slope too (see `_newton`), and by bisection. Returns the upper end of
+    the bracket.
     """
-    tangents = {}  # lam -> (mod(lam), slope) at the search's points
+    tangents = {}  # lam -> (M(lam), slope) at the search's points
 
-    def point(j):  # (lam 2^j clamped to the positive doubles, mod > 1 there)
+    def point(j):  # (lam 2^j clamped to the positive doubles, M > 1 there)
         try:
             x = max(math.ldexp(lam, j), 5e-324)
         except OverflowError:
             x = _DBL_MAX
         if not newton:
-            return x, mod(x) > 1.0
-        m, _ = tangents[x] = mod(x, slope=True)
+            return x, (yield x, False) > 1.0
+        m, _ = tangents[x] = yield x, True
         return x, m > 1.0
 
-    near_x, up = point(0)  # the root is above lam where mod(lam) > 1
+    near_x, up = yield from point(0)  # the root is above lam where M(lam) > 1
     near, far = 0, 1 if up else -1  # exponents on lam's side of the root and beyond
     while True:
         if near_x == (_DBL_MAX if up else 5e-324):
             if up:
                 raise OrliczError("modular exceeds 1 even at the largest double")
             return near_x
-        far_x, over = point(far)
+        far_x, over = yield from point(far)
         if over != up:
             break
         near, near_x, far = far, far_x, 2 * far
     while abs(far - near) > 1:
         mid = (near + far) // 2
-        x, over = point(mid)
+        x, over = yield from point(mid)
         if over == up:
             near, near_x = mid, x
         else:
             far, far_x = mid, x
     lo, hi = (near_x, far_x) if up else (far_x, near_x)
     if newton:
-        lo, hi = _newton(mod, lo, hi, [(x, *tangents[x]) for x in (hi, lo)])
+        lo, hi = yield from _newton(lo, hi, [(x, *tangents[x]) for x in (hi, lo)])
     for _ in range(MAX_BISECT_ITER):
         if hi - lo <= BISECT_RTOL * hi:
             break
         mid = _midpoint(lo, hi)
-        if mod(mid) <= 1.0:
+        if (yield mid, False) <= 1.0:
             hi = mid
         else:
             lo = mid
@@ -399,8 +557,9 @@ def _tangent_root(x: float, m: float, d: float) -> float:
     return math.nan
 
 
-def _newton(mod, lo: float, hi: float, starts):
-    """Shrink the bracket [lo, hi] by safeguarded Newton steps in mu = 1/lam.
+def _newton(lo: float, hi: float, starts):
+    """Search: the bracket [lo, hi] shrunk by safeguarded Newton steps in
+    mu = 1/lam.
 
     M(mu) is convex and increasing, so the tangent at any point meets 1 at
     a lam below the norm. Newton starts from the higher of the tangent
@@ -408,16 +567,16 @@ def _newton(mod, lo: float, hi: float, starts):
     to the norm quadratically. Where neither has a tangent root (a modular
     or slope that is not finite, or a flat tangent), the bracket is bisected
     with the slope until a point has one, and Newton starts from there. A
-    point only proposes: it moves lo or hi after mod(p, slope=True) is
+    point only proposes: it moves lo or hi after M and the slope are
     evaluated there. A tangent root that reads the modular <= 1 and has no
     tangent root of its own (a flat tangent, as at a kink of M) bounds the
     norm from both sides: Newton has converged there. Once the next step is
     predicted below _NEWTON_RTOL, the points (1 +- _PROBE) times the
-    proposal are evaluated with `mod`, closing the bracket. The upper one
-    becomes hi even where an evaluated point at the norm itself was lower,
-    so that the returned lam is about _PROBE above the norm: no summation
-    order reads its modular above 1, and it lies within 6e-13 of what
-    bisection returns.
+    proposal are evaluated, closing the bracket. The upper one becomes hi
+    even where an evaluated point at the norm itself was lower, so that the
+    returned lam is about _PROBE above the norm: no summation order reads
+    its modular above 1, and it lies within 6e-13 of what bisection
+    returns.
 
     The safeguard: a proposal outside (lo, hi), or a non-finite modular or
     slope, ends Newton. Newton evaluates only while the bisection that
@@ -429,28 +588,28 @@ def _newton(mod, lo: float, hi: float, starts):
     point one step above the proposal is evaluated first: on Newton's
     course it bounds the norm from above and shrinks hi.
     """
-    budget = _bisections(lo, hi) + _NEWTON_SLACK
+    rest = _bisections(lo, hi)  # of the bracket [lo, hi] as it stands
+    budget = rest + _NEWTON_SLACK
     used = 0
 
     def room(n):  # n more evaluations and the bisection after them fit the budget
-        return used + n + _bisections(lo, hi) <= budget
+        return used + n + rest <= budget
 
-    def probe(p):  # evaluate the modular at p, which becomes lo or hi
-        nonlocal used, lo, hi
+    def move(p, m):  # p, where M = m, becomes lo or hi
+        nonlocal used, rest, lo, hi
         used += 1
-        if mod(p) <= 1.0:
-            hi = p
-        else:
-            lo = p
-
-    def tangent(p):  # probe p with the slope; the tangent root there
-        nonlocal used, lo, hi
-        used += 1
-        m, d = mod(p, slope=True)
         if m <= 1.0:
             hi = p
         else:
             lo = p
+        rest = _bisections(lo, hi)
+
+    def probe(p):  # evaluate the modular at p
+        move(p, (yield p, False))
+
+    def tangent(p):  # evaluate with the slope at p; the tangent root there
+        m, d = yield p, True
+        move(p, m)
         return _tangent_root(p, m, d)
 
     g = x = math.nan
@@ -461,7 +620,7 @@ def _newton(mod, lo: float, hi: float, starts):
     while math.isnan(g) and hi - lo > BISECT_RTOL * hi:
         # no tangent meets 1 yet: bisect, with the slope, until one does
         x = _midpoint(lo, hi)
-        g = tangent(x)
+        g = yield from tangent(x)
     prev = 0.0  # the previous step, none yet
     while math.isfinite(g):
         step = abs(g - x)
@@ -471,21 +630,21 @@ def _newton(mod, lo: float, hi: float, starts):
         ):
             up, down = min(g * (1.0 + _PROBE), _DBL_MAX), g * (1.0 - _PROBE)
             if lo < up and room(1):  # even above hi: see the docstring
-                probe(up)
+                yield from probe(up)
             if lo < down < hi and room(1):
-                probe(down)
+                yield from probe(down)
             break
         if not lo < g < hi:
             break
         u = g + step  # above the norm, once Newton converges
         if not room(2) and room(1) and x < g and u < hi:
-            probe(u)
+            yield from probe(u)
             if lo == u:
                 break  # Newton is far off: bisect
         if not room(1):
             break
         x, prev = g, step
-        g = tangent(x)
+        g = yield from tangent(x)
         if math.isnan(g) and hi == x:
             g = x  # the norm lies in [x, hi] = [x, x]: see the docstring
     return lo, hi

@@ -145,10 +145,10 @@ def parse_space(descriptor: str) -> SpaceSpec:
 
 
 def ri_norm_rows(rows: StepRows, E: SpaceSpec) -> np.ndarray:
-    """The E-norm of each row: the one dispatch on the space kind. Lorentz,
-    Marcinkiewicz and Lp norms are computed on the whole batch (Lp norms by
-    the body of `lp_norm`); Orlicz norms row by row on the real cells, by the
-    Luxemburg solver."""
+    """The E-norm of each row: the one dispatch on the space kind. Every kind
+    is computed on the whole batch: Lorentz and Marcinkiewicz norms, Lp norms
+    by the body of `lp_norm`, and Orlicz norms by the Luxemburg solver's row
+    driver, which runs one search per row in lock-step over the real cells."""
     if E.kind == "lorentz":
         return _weights.lorentz_norm_rows(rows, E.weight)
     if E.kind == "marcinkiewicz":
@@ -156,9 +156,7 @@ def ri_norm_rows(rows: StepRows, E: SpaceSpec) -> np.ndarray:
     if E.kind in ("lp", "linf"):
         return _lp_norm_rows(rows, E.p)
     if E.kind == "orlicz":
-        cells = zip(rows.values, rows.lengths, rows.counts)  # a row's real cells: [:k]
-        return np.array([_orlicz.luxemburg_norm_max(v[None, :k], l[:k], E.phi)[1]
-                         for v, l, k in cells])
+        return _orlicz.luxemburg_norm_rows(rows.values, rows.lengths, E.phi)
     raise SpaceError(f"unhandled space kind {E.kind!r}")
 
 

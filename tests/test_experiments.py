@@ -347,13 +347,17 @@ class TestSuitesSmoke:
         def refuse(*args, **kwargs):
             raise AssertionError("a one-row call")
 
-        for owner, name in ((sf.StepRows, "row"), (ex, "rearrange"), (ol, "luxemburg_norm")):
+        for owner, name in ((sf.StepRows, "row"), (ex, "rearrange"), (ol, "luxemburg_norm"),
+                            (ol, "luxemburg_norm_max")):
             monkeypatch.setattr(owner, name, refuse)
         assert ex.rearrangement_report(trials=200).passed
-        assert ex.luxemburg_report(trials=50, grid=20).passed  # Luxemburg rows: ri_norm_rows
+        # Luxemburg rows: one call of luxemburg_norm_rows per batch
+        assert ex.luxemburg_report(trials=50, grid=20).passed
+        assert ex.envelope_lemma_check(trials=30, indicator_trials=20).passed
+        assert ex.g1_chain_check(trials=30, grid=20).passed
         # the hinge norm is a closed form: no hinge Phi and no root find
         monkeypatch.setattr(sp._orlicz, "hinge", refuse)
-        monkeypatch.setattr(sp._orlicz, "luxemburg_norm_max", refuse)
+        monkeypatch.setattr(sp._orlicz, "luxemburg_norm_rows", refuse)
         assert ex.hinge_sandwich_report(trials=30).passed
 
     def test_mu_oracle_catches_a_zero_a(self, monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import hinge_norm_exact, linear_combination, signed_sums, step_functions
+from conftest import (batch_functions, bits, hinge_norm_exact, linear_combination, signed_sums,
+                      step_functions)
 from rispaces import experiments as ex
 from rispaces import orlicz as ol
 from rispaces import spaces as sp
@@ -49,6 +50,22 @@ class TestOrliczFunctions:
         with pytest.raises(ol.OrliczError, match="expected 0"):
             ol.custom_orlicz(lambda s: s * s + 1.0, "shifted")
 
+    def test_validation_accepts_overflow_above_one(self):
+        # 12^2000 and exp(12^3) overflow to inf on the grid, above s = 1
+        assert ol.power(2000.0).p == 2000.0
+        phi = ol.custom_orlicz(lambda s: np.expm1(np.abs(s) ** 3), "exp3")
+        assert float(phi(1.0)) == pytest.approx(math.e - 1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("fn, match", [
+        (lambda s: np.where(np.abs(s) > 0.5, np.inf, s * s), "non-finite"),
+        (lambda s: np.where(np.abs(s) > 5.0, np.nan, s * s), "non-finite"),
+        (lambda s: np.where(s > 5.0, np.inf, s * s), "not even"),
+        (lambda s: np.where((np.abs(s) > 5.0) & (np.abs(s) < 8.0), np.inf, s * s), "non-decreasing"),
+    ])
+    def test_validation_with_inf_values(self, fn, match):
+        with pytest.raises(ol.OrliczError, match=match):
+            ol.custom_orlicz(fn, "inf")
+
     def test_exp2_values(self):
         phi = ol.exp_square()
         assert phi(0.0) == 0.0
@@ -79,10 +96,7 @@ class TestEvaluateInto:
             self._check(ol.exp_square(), np.expm1(PHI_INPUTS * PHI_INPUTS))
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 4.0 / 3.0, 2000.0])
-    def test_power(self, p, monkeypatch):
-        # the validator's grid reaches 12, and 12^2000 overflows: skip it to
-        # build power(2000)
-        monkeypatch.setattr(ol, "_validate", lambda fn, descriptor: None)
+    def test_power(self, p):
         with np.errstate(over="ignore"):
             self._check(ol.power(p), np.abs(PHI_INPUTS) ** p)
 
@@ -325,6 +339,59 @@ class TestLuxemburgNormMax:
         assert _close(norm, ol.luxemburg_norm(f, phi))
         assert norm == pytest.approx(TestTinyNorms.CLOSED[desc](1e-300), rel=1e-12, abs=0.0)
         assert ol.modular(f, phi, norm) <= 1.0
+
+
+ROWS_PHIS = {
+    "exp2": ol.exp_square(),
+    "hinge:1": ol.hinge(1.0),
+    "hinge:1e308": ol.hinge(1e308),
+    "power:3.5 without p": ol._without_p(ol.power(3.5)),
+    "custom exp2": ol.custom_orlicz(lambda s: np.expm1(np.square(s)), "exp2 without dphi"),
+}
+# rows at the ends of the double range, where a one-row norm may raise
+_EDGE_ROWS = (sf.indicator(1e-310), sf.indicator(5e-324), sf.constant(5e-324),
+              sf.constant(1.7e308), sf.indicator(1.0), sf.constant(0.0))
+
+
+class TestLuxemburgNormRows:
+    """`luxemburg_norm_rows` gives each row bitwise its one-row
+    `luxemburg_norm`, or raises the OrliczError of the first row that does."""
+
+    @pytest.mark.parametrize("desc", list(ROWS_PHIS))
+    @given(
+        # rows of more than 32 cells too, where padding would change the dot's order
+        fs=st.lists(st.one_of(batch_functions(), batch_functions(max_pieces=80)), min_size=1,
+                    max_size=8),
+        scaled=st.lists(st.tuples(st.integers(0, 7), st.integers(-80, 3)), max_size=4),
+        edges=st.lists(st.tuples(st.integers(0, 12), st.sampled_from(_EDGE_ROWS)), max_size=3),
+    )
+    @example(fs=[sf.constant(0.0), sf.constant(1.0)], scaled=[(1, -3), (1, 2)],
+             edges=[(0, sf.indicator(1e-310)), (9, sf.constant(1.7e308))])
+    # a row of 41 cells padded to 70: the padded dot differs in the last bit
+    @example(fs=[sf.StepFunction(np.linspace(0.0, 1.0, 42), 3.0 * np.sin(np.arange(41.0))),
+                 sf.StepFunction(np.linspace(0.0, 1.0, 71), np.cos(np.arange(70.0)))],
+             scaled=[(0, -1)], edges=[])
+    @settings(max_examples=30, deadline=None)
+    def test_rows_match_one_row_norms(self, desc, fs, scaled, edges):
+        phi = ROWS_PHIS[desc]
+        fs = fs + [sf.StepFunction(fs[i % len(fs)].breakpoints, np.ldexp(fs[i % len(fs)].values, k))
+                   for i, k in scaled]
+        for i, f in edges:
+            fs.insert(i % (len(fs) + 1), f)
+        want = []
+        for f in fs:
+            try:
+                want.append(ol.luxemburg_norm(f, phi))
+            except ol.OrliczError as error:
+                want.append(error)
+        rows = sf.StepRows.stack(fs)
+        errors = [str(w) for w in want if isinstance(w, ol.OrliczError)]
+        if errors:
+            with pytest.raises(ol.OrliczError) as info:
+                ol.luxemburg_norm_rows(rows.values, rows.lengths, phi)
+            assert str(info.value) == errors[0]
+        else:
+            assert bits(ol.luxemburg_norm_rows(rows.values, rows.lengths, phi)) == bits(want)
 
 
 class TestTinyNorms:
@@ -571,11 +638,6 @@ class TestExactOracles:
 POWER_PS = (1.0, 2.0, 3.5, 4.0 / 3.0)
 
 
-def _without_p(phi):
-    """The same Phi without its exponent, for which the root finder runs."""
-    return ol.OrliczFunction(phi.fn, phi.descriptor, phi.dphi)
-
-
 class TestPowerClosedForm:
     """power(p) records p, and its Luxemburg norm is the Lp norm, checked on
     the modular instead of searched for."""
@@ -586,7 +648,21 @@ class TestPowerClosedForm:
         ]
         assert ol.power(2.5).p == 2.5
         assert ol.exp_square().p is None and ol.hinge(1.0).p is None
-        assert _without_p(ol.power(2.0)).p is None
+        phi = ol.power(2.0)
+        plain = ol._without_p(phi)  # the root finder runs: only p is cleared
+        assert plain.p is None and phi.p == 2.0
+        assert (plain.fn, plain.descriptor, plain.dphi) == (phi.fn, phi.descriptor, phi.dphi)
+        assert plain.takes_out
+
+    def test_power_2000_is_lp_2000(self):
+        rng = np.random.default_rng(1)
+        rows = sf.StepRows.stack([ex.random_step_function(rng) for _ in range(300)])
+        got = sp.ri_norm_rows(rows, sp.parse_space("orlicz:power:2000"))
+        lp = sp.ri_norm_rows(rows, sp.parse_space("Lp:2000"))
+        # the Lp norm, or 4e-13 above it where rounding reads the modular above 1
+        assert np.all((got == lp) | (got == lp * (1.0 + ol._PROBE)))
+        phi = ol.power(2000.0)
+        assert all(ol.modular(rows.row(i), phi, got[i]) <= 1.0 for i in range(len(rows)))
 
     @pytest.mark.parametrize("p", POWER_PS)
     @given(
@@ -604,7 +680,7 @@ class TestPowerClosedForm:
         if norm == 0.0:
             assert not S.any()
             return
-        _, generic = ol.luxemburg_norm_max(S, dl, _without_p(phi))
+        _, generic = ol.luxemburg_norm_max(S, dl, ol._without_p(phi))
         assert abs(norm - generic) <= 1e-12 * generic
         assert (phi(S / norm) @ dl).max() <= 1.0
         below = norm * (1.0 - 1e-9)
