@@ -23,7 +23,13 @@ import numpy as np
 from . import _signdist_py as _kernel
 from . import orlicz as _orlicz
 from . import weights as _weights
-from .rademacher import MAX_ENUM_N, MAX_EQUAL_N, sum_rearrangement, rademacher_sum_norm
+from .rademacher import (
+    MAX_ENUM_N,
+    MAX_EQUAL_N,
+    rademacher_sum_norm,
+    sum_rearrangement,  # not called here; perfbench's tracer tests wrap this binding
+    sum_rearrangement_rows,
+)
 from .spaces import (
     _HINGE_RTOL,
     SpaceSpec,
@@ -305,13 +311,44 @@ def _conditional_signs(mods) -> int:
     return lo
 
 
-def _sign_instance(xs, phi: _orlicz.OrliczFunction) -> dict:
-    """Quantities of the sign-selection inequality for one instance."""
+def _eta_groups(instances):
+    """The eta side of the sign suites, one (Phi, n) group of (xs, phi)
+    instances at a time, in order of first appearance.
+
+    Yields (cases, phi, etas): row j of the `StepRows` etas is the
+    rearrangement of sum_i ||x_i||_1 r_i for instance cases[j], bitwise what
+    that instance gives alone. A group's L1 norms come from one
+    `ri_norm_rows` call and its rearrangements from one
+    `sum_rearrangement_rows` call.
+    """
+    groups = {}
+    for case, (xs, phi) in enumerate(instances):
+        groups.setdefault((phi, len(xs)), []).append(case)
+    for (phi, n), cases in groups.items():
+        fns = StepRows.stack([x for case in cases for x in instances[case][0]])
+        l1_norms = ri_norm_rows(fns, lp_space(1.0)).reshape(len(cases), n)
+        yield cases, phi, sum_rearrangement_rows(l1_norms)
+
+
+def _sign_rows(instances) -> list:
+    """The rows of `sign_selection_report` for (xs, phi) instances, in order:
+    the eta side per (Phi, n) group, its Luxemburg norms in one row solve,
+    then each instance's sign table."""
+    rows = [None] * len(instances)
+    for cases, phi, etas in _eta_groups(instances):
+        rhs = _orlicz.luxemburg_norm_rows(etas.values, etas.lengths, phi).tolist()
+        for j, case in enumerate(cases):
+            rows[case] = _sign_row(instances[case][0], phi, rhs[j], etas.row(j))
+    return rows
+
+
+def _sign_row(xs, phi: _orlicz.OrliczFunction, rhs: float, rhs_fn: StepFunction) -> dict:
+    """Quantities of the sign-selection inequality for one instance, given
+    its eta side: rhs_fn, the rearrangement of sum_i ||x_i||_1 r_i, and rhs,
+    its Luxemburg norm."""
     n = len(xs)
     _, dl, _, S = _half_sign_sums(xs)
     _, best = _orlicz.luxemburg_norm_max(S, dl, phi)
-    rhs_fn = sum_rearrangement(ri_norm_rows(StepRows.stack(xs), lp_space(1.0)))
-    rhs = _orlicz.luxemburg_norm(rhs_fn, phi)
     row = {
         "n": n,
         "phi": phi.descriptor,
@@ -336,6 +373,60 @@ def _sign_instance(xs, phi: _orlicz.OrliczFunction) -> dict:
         row["ave_eps_modular"] = 0.0
         row["chain_ok"] = True
     return row
+
+
+def _derandomize_rows(instances) -> list:
+    """The rows of `derandomization_report` for (xs, phi) instances, in
+    order: the eta side per (Phi, n) group, then each instance's table of
+    modulars."""
+    rows = [None] * len(instances)
+    for cases, phi, etas in _eta_groups(instances):
+        for j, case in enumerate(cases):
+            rows[case] = _derandomize_row(instances[case][0], phi, etas.row(j))
+    return rows
+
+
+def _derandomize_row(xs, phi: _orlicz.OrliczFunction, eta: StepFunction) -> dict:
+    """Greedy, average and top-quartile modulars of one instance against the
+    modular of its eta side, the rearrangement of sum_i ||x_i||_1 r_i."""
+    n = len(xs)
+    _, dl, X, S = _half_sign_sums(xs)
+    # keep |values|/lam <= 1 so the exp-square modular stays tame
+    lam = max(float(np.max(np.abs(X).sum(axis=0))), 1e-9)
+    mods = phi(S / lam) @ dl
+    greedy = float(mods[_conditional_signs(mods)])
+    avg = float(np.mean(mods))
+    q75 = _q75_of_pairs(mods)
+    ave_eta = _orlicz.modular(eta, phi, lam)
+    return {
+        "n": n,
+        "phi": phi.descriptor,
+        "lam": lam,
+        "greedy_modular": greedy,
+        "avg_modular": avg,
+        "q75_modular": q75,
+        "ave_eta_modular": ave_eta,
+        "pigeonhole_ok": bool(greedy >= avg * (1.0 - 1e-12) - 1e-300),
+        "top_quartile": bool(greedy >= q75 * (1.0 - 1e-12)),
+        "beats_eta_average": bool(greedy >= ave_eta * (1.0 - 1e-12) - 1e-300),
+    }
+
+
+def _q75_of_pairs(mods) -> float:
+    """np.quantile(np.repeat(mods, 2), 0.75), bit for bit, without the repeat:
+    the quantile over all 2^n sign vectors, each row of a half sign table
+    standing for two.
+
+    The repeated table has 2N entries for N = len(mods), so the quantile sits
+    at position 0.75 (2N - 1) = f + r/4 of it sorted, between its entries f
+    and f + 1, which are the order statistics f // 2 and (f + 1) // 2 of
+    mods. They are interpolated as numpy's linear method does: from the lower
+    one at weight 1/4 (N even), from the upper one at weight 3/4 (N odd).
+    (mods are sums of values of Phi, so they hold no NaN.)"""
+    f, r = divmod(6 * len(mods) - 3, 4)  # r is 1 or 3
+    lo, hi = f // 2, (f + 1) // 2
+    a, b = np.partition(mods, [lo, hi])[[lo, hi]]
+    return float(a + (b - a) * 0.25 if r == 1 else b - (b - a) * 0.25)
 
 
 # --- suites ---------------------------------------------------------------
@@ -441,8 +532,7 @@ def _sign_instances(trials, n_max, seed, max_plateaus):
 def sign_selection_report(trials: int = 1000, n_max: int = 10, seed: int = 42) -> ExperimentReport:
     """Exhaustive verification of the sign-selection inequality on random
     instances, cycling Phi over power:1, power:2, exp2."""
-    instances = _sign_instances(trials, n_max, seed, max_plateaus=10)
-    rows = [_sign_instance(xs, phi) for xs, phi in instances]
+    rows = _sign_rows(_sign_instances(trials, n_max, seed, max_plateaus=10))
     for i, row in enumerate(rows):
         row["case"] = i
     violations = sum(0 if r["pass"] else 1 for r in rows)
@@ -470,34 +560,7 @@ def sign_selection_report(trials: int = 1000, n_max: int = 10, seed: int = 42) -
 def derandomization_report(trials: int = 200, n_max: int = 12, seed: int = 42) -> ExperimentReport:
     """Greedy conditional-expectation signs versus the exact modular
     distribution over all sign vectors."""
-    instances = _sign_instances(trials, n_max, seed, max_plateaus=6)
-
-    def one(xs, phi):
-        n = len(xs)
-        _, dl, X, S = _half_sign_sums(xs)
-        # keep |values|/lam <= 1 so the exp-square modular stays tame
-        lam = max(float(np.max(np.abs(X).sum(axis=0))), 1e-9)
-        mods = phi(S / lam) @ dl
-        greedy = float(mods[_conditional_signs(mods)])
-        avg = float(np.mean(mods))
-        # the quantile over all 2^n vectors: each row stands for two
-        q75 = float(np.quantile(np.repeat(mods, 2), 0.75))
-        l1_norms = ri_norm_rows(StepRows.stack(xs), lp_space(1.0))
-        ave_eta = _orlicz.modular(sum_rearrangement(l1_norms), phi, lam)
-        return {
-            "n": n,
-            "phi": phi.descriptor,
-            "lam": lam,
-            "greedy_modular": greedy,
-            "avg_modular": avg,
-            "q75_modular": q75,
-            "ave_eta_modular": ave_eta,
-            "pigeonhole_ok": bool(greedy >= avg * (1.0 - 1e-12) - 1e-300),
-            "top_quartile": bool(greedy >= q75 * (1.0 - 1e-12)),
-            "beats_eta_average": bool(greedy >= ave_eta * (1.0 - 1e-12) - 1e-300),
-        }
-
-    rows = [one(xs, phi) for xs, phi in instances]
+    rows = _derandomize_rows(_sign_instances(trials, n_max, seed, max_plateaus=6))
     for i, row in enumerate(rows):
         row["case"] = i
     fails = sum(0 if r["pigeonhole_ok"] else 1 for r in rows)

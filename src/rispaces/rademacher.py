@@ -10,7 +10,10 @@ running atom count cum, with no rationals: float64 holds them exactly while
 cum < 2^53 (every enumeration, and the binomial path to n = 53) and rounds to
 the nearest double beyond (at n = 60, 8 of the 30 inner breakpoints). The
 enumerated sums are sorted and compacted in place: one buffer of 2^(n-1)
-doubles, a mask of run starts, and the breakpoints.
+doubles per row, a mask of run starts, and the breakpoints.
+`sum_rearrangement_rows` takes many rows of coefficients at once, with one
+run of the enumeration kernel, and returns a `StepRows` batch;
+`sum_rearrangement` is its one-row case.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import _signdist_py as _kernel
 from .spaces import SpaceSpec, ri_norm
-from .stepfn import StepFunction
+from .stepfn import StepFunction, StepRows
 
 __all__ = [
     "MAX_ENUM_N",
@@ -32,6 +35,7 @@ __all__ = [
     "rademacher",
     "signed_sum",
     "sum_rearrangement",
+    "sum_rearrangement_rows",
     "rademacher_sum_norm",
 ]
 
@@ -70,71 +74,137 @@ def signed_sum(coeffs: Sequence[float], signs: Sequence[int]) -> StepFunction:
     return StepFunction(_dyadic_breaks(n), _kernel.enumerate_signed_sums(signs * coeffs))
 
 
-def _atoms_to_step(values_desc: np.ndarray, cum: np.ndarray, denominator: int) -> StepFunction:
-    """Step function from atoms in descending order of value: atom i holds
-    values_desc[i] on (cum[i], cum[i+1]] / denominator.
+def _atoms_to_rows(values: np.ndarray, cum: np.ndarray, counts: np.ndarray, denominator: int):
+    """(breaks, built) for rows of atoms in descending order of value: row i
+    holds values[i, j] on (cum[i, j], cum[i, j+1]] / denominator for its
+    first counts[i] atoms, then padding (values 0.0, cum `denominator`).
 
-    `cum` holds the running atom counts in float64, from 0 to `denominator`
-    = 2^n (n <= 60), each the double nearest to its count. It is divided in
-    place, exactly, so each breakpoint is the double nearest to cum/2^n."""
+    `cum` holds the running atom counts in float64, one row per row of
+    `values` or one row for all, from 0 to `denominator` = 2^n (n <= 60),
+    each the double nearest to its count. It is divided in place, exactly, so
+    each breakpoint is the double nearest to cum/2^n. built[i] is True where
+    row i is canonical as it stands: cum/2^n is exact up to n = 53, so
+    positive counts give strictly increasing breakpoints, and strictly
+    decreasing finite values are then canonical."""
     if denominator < 1 or denominator & (denominator - 1) or denominator > 1 << 60:
         raise RademacherError(f"denominator must be 2^n with n <= 60, got {denominator}")
     breaks = np.divide(cum, float(denominator), out=cum)
-    # cum/2^n is exact up to n = 53, so positive counts give strictly
-    # increasing breakpoints; strictly decreasing finite values are then canonical
-    if (denominator <= 1 << 53 and np.isfinite(values_desc).all()
-            and (values_desc[1:] < values_desc[:-1]).all()):
-        return StepFunction._canonical(breaks, values_desc)
-    return StepFunction(breaks, values_desc)
+    m, width = values.shape
+    decreasing = values[:, 1:] < values[:, :-1]
+    if counts.min() < width:  # padding cells count as decreasing
+        decreasing |= np.arange(1, width) >= counts[:, None]
+    built = decreasing.all(axis=1) & np.isfinite(values).all(axis=1)
+    if denominator > 1 << 53:
+        built[:] = False
+    if breaks.ndim == 1:  # one row of counts for all rows
+        breaks = breaks[None, :] if m == 1 else np.broadcast_to(breaks, (m, width + 1))
+    return breaks, built
+
+
+def _atoms_to_step(values_desc: np.ndarray, cum: np.ndarray, denominator: int) -> StepFunction:
+    """Step function from atoms in descending order of value: atom i holds
+    values_desc[i] on (cum[i], cum[i+1]] / denominator; the one-row case of
+    `_atoms_to_rows`, which divides `cum` in place."""
+    breaks, built = _atoms_to_rows(values_desc[None, :], cum, np.array([len(values_desc)]),
+                                   denominator)
+    return (StepFunction._canonical if built[0] else StepFunction)(breaks[0], values_desc)
+
+
+def _binomial_atoms(c: np.ndarray, n: int):
+    """(values, cum, counts, denominator) of |c (eps_1 + ... + eps_n)| for each
+    c >= 0 of `c`: the values c |n - 2k| for k <= n/2, with weights C(n, k),
+    doubled unless 2k = n, out of 2^n; one row of running counts for all."""
+    k = np.arange(n // 2 + 1)
+    weights = [math.comb(n, j) * (1 if 2 * j == n else 2) for j in k.tolist()]
+    cum = np.zeros(len(k) + 1)
+    cum[1:] = np.cumsum(weights, dtype=np.int64)  # each count rounded once
+    return c[:, None] * (n - 2 * k), cum, np.full(len(c), len(k)), 1 << n
+
+
+def _enumerated_atoms(a: np.ndarray):
+    """(values, cum, counts, denominator) of |sum_i a_i eps_i| for each row a
+    of `a`, by enumeration: eps_0 = -1 gives the exact negations, so the
+    2^(n-1) sums with eps_0 = +1 carry the distribution. The kernel runs once
+    on all rows, elementwise, so each row's sums are bitwise its own
+    enumeration; they are sorted and compacted in their own buffer, which
+    holds the values when all of them differ. (One row goes through the
+    kernel as a vector: the same sums, with less overhead per step.)"""
+    if len(a) == 1:
+        atoms = _kernel.enumerate_signed_sums(a[0, 1:], start=a[0, 0])[None, :]
+    else:
+        atoms = np.ascontiguousarray(_kernel.enumerate_signed_sums(a[:, 1:].T, start=a[:, 0]).T)
+    m, size = atoms.shape
+    # sorted in place: -|s| ascending is |s| descending
+    np.negative(np.abs(atoms, out=atoms), out=atoms)
+    atoms.sort(axis=1)
+    np.negative(atoms, out=atoms)
+    new = np.empty(atoms.shape, dtype=bool)  # where a run of equal atoms starts
+    new[:, 0] = True
+    np.not_equal(atoms[:, 1:], atoms[:, :-1], out=new[:, 1:])
+    if new.all():
+        return atoms, np.arange(size + 1, dtype=np.float64), np.full(m, size), size
+    counts = np.count_nonzero(new, axis=1)
+    real = np.arange(counts.max()) < counts[:, None]
+    values = np.zeros(real.shape)
+    values[real] = atoms[new]
+    # the atoms before each run, then all of them (padding included)
+    cum = np.full((m, real.shape[1] + 1), float(size))
+    cum[:, :-1][real] = new.nonzero()[1]
+    return values, cum, counts, size
+
+
+def _distributions(a: np.ndarray, equal: bool):
+    """(values, breaks, counts, built): the distribution of |sum_i a_i eps_i|
+    for each row a of `a`, all of equal coefficients or none, in the padded
+    arrays of a `StepRows` batch, with `_atoms_to_rows`'s built flags."""
+    n = a.shape[1]
+    if equal:
+        if n > MAX_EQUAL_N:
+            raise RademacherError(f"n={n} exceeds the equal-coefficient cap {MAX_EQUAL_N}")
+        values, cum, counts, denominator = _binomial_atoms(np.abs(a[:, 0]), n)
+    else:
+        if n > MAX_ENUM_N:
+            raise RademacherError(f"n={n} exceeds the enumeration cap {MAX_ENUM_N}")
+        values, cum, counts, denominator = _enumerated_atoms(a)
+    breaks, built = _atoms_to_rows(values, cum, counts, denominator)
+    return values, breaks, counts, built
+
+
+def sum_rearrangement_rows(coeffs) -> StepRows:
+    """Non-increasing rearrangement of |sum_i a_i eps_i| under uniform signs,
+    for each row a of the 2-d `coeffs`: row i of the batch holds bitwise the
+    breakpoints and values of `sum_rearrangement` of row i alone.
+
+    2^n atoms of measure 2^-n, compacted, with eps_0 = -1 counted by symmetry.
+    Rows of equal coefficients go through binomial weights C(n,k) on the
+    values |n-2k|*|a| instead of enumeration; rows of unequal ones share one
+    run of the enumeration kernel and are sorted and compacted row by row. A
+    batch that mixes the two kinds, or holds a row that needs the validating
+    constructor (a zero row, n > 53, values that are not finite), is taken
+    one row at a time, so a row over its cap raises the first such row's
+    RademacherError.
+    """
+    a = np.asarray(coeffs, dtype=np.float64)
+    if a.ndim != 2 or 0 in a.shape:
+        raise RademacherError("need at least one row of at least one coefficient")
+    equal = (a == a[:, :1]).all(axis=1)
+    if equal.all() or not equal.any():
+        values, breaks, counts, built = _distributions(a, bool(equal[0]))
+        if built.all():
+            return StepRows(breaks, values, counts)
+    return StepRows.stack([sum_rearrangement(row) for row in a])
 
 
 def sum_rearrangement(coeffs: Sequence[float]) -> StepFunction:
-    """Non-increasing rearrangement of |sum_i a_i eps_i| under uniform signs.
-
-    2^n atoms of measure 2^-n, compacted, with eps_0 = -1 counted by symmetry;
-    equal coefficients go through binomial weights C(n,k) on the values
-    |n-2k|*|a| instead of enumeration. The enumerated atoms are sorted and
-    compacted in their own buffer, which holds the values when all differ.
-    """
-    a = np.asarray(coeffs, dtype=np.float64)
-    n = len(a)
-    if n < 1:
+    """Non-increasing rearrangement of |sum_i a_i eps_i| under uniform signs:
+    the one-row case of `sum_rearrangement_rows`, on views of its arrays."""
+    a = np.asarray(coeffs, dtype=np.float64)[None, :]
+    if a.shape[1] < 1:
         raise RademacherError("need at least one coefficient")
-    if np.all(a == a[0]):
-        if n > MAX_EQUAL_N:
-            raise RademacherError(f"n={n} exceeds the equal-coefficient cap {MAX_EQUAL_N}")
-        c = abs(float(a[0]))
-        values = []
-        counts = []
-        for k in range(n // 2 + 1):
-            weight = math.comb(n, k)
-            if 2 * k != n:
-                weight *= 2
-            values.append(c * (n - 2 * k))
-            counts.append(weight)
-        cum = np.zeros(len(counts) + 1)
-        cum[1:] = np.cumsum(counts, dtype=np.int64)  # each count rounded once
-        return _atoms_to_step(np.asarray(values), cum, 1 << n)
-    if n > MAX_ENUM_N:
-        raise RademacherError(f"n={n} exceeds the enumeration cap {MAX_ENUM_N}")
-    # eps_0 = -1 gives the exact negations, so the 2^(n-1) sums with
-    # eps_0 = +1 carry the distribution; starting at a[0] keeps the order
-    atoms = _kernel.enumerate_signed_sums(a[1:], start=a[0])
-    size = len(atoms)
-    # sorted in place: -|s| ascending is |s| descending
-    np.negative(np.abs(atoms, out=atoms), out=atoms)
-    atoms.sort()
-    np.negative(atoms, out=atoms)
-    new = np.empty(size, dtype=bool)  # where a run of equal atoms starts
-    new[0] = True
-    np.not_equal(atoms[1:], atoms[:-1], out=new[1:])
-    if new.all():
-        return _atoms_to_step(atoms, np.arange(size + 1, dtype=np.float64), size)
-    first = np.flatnonzero(new)
-    cum = np.empty(len(first) + 1)  # the atoms before each run, then all of them
-    cum[:-1] = first
-    cum[-1] = size
-    return _atoms_to_step(atoms[first], cum, size)
+    values, breaks, counts, built = _distributions(a, bool((a == a[0, 0]).all()))
+    k = int(counts[0])
+    return (StepFunction._canonical if built[0] else StepFunction)(
+        breaks[0, : k + 1], values[0, :k])
 
 
 def rademacher_sum_norm(coeffs: Sequence[float], E: SpaceSpec) -> float:

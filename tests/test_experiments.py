@@ -12,6 +12,7 @@ from conftest import (
 )
 from rispaces import experiments as ex
 from rispaces import orlicz as ol
+from rispaces import rademacher as rd
 from rispaces import spaces as sp
 from rispaces import stepfn as sf
 from rispaces import weights as wt
@@ -291,15 +292,100 @@ class TestSingleInequality:
     def test_disjoint_indicators_power2(self):
         x1 = sf.indicator(0.5)
         x2 = sf.step_function([0, 0.5, 1], [0.0, 1.0])
-        row = ex._sign_instance([x1, x2], ol.power(2.0))
+        [row] = ex._sign_rows([([x1, x2], ol.power(2.0))])
         assert row["lhs"] == pytest.approx(1.0, rel=1e-11)
         assert row["rhs"] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-11)
         assert row["pass"] and row["chain_ok"]
 
     def test_constant_single_function_equality(self):
-        row = ex._sign_instance([sf.constant(2.0)], ol.exp_square())
+        [row] = ex._sign_rows([([sf.constant(2.0)], ol.exp_square())])
         assert row["lhs"] == pytest.approx(row["rhs"], rel=1e-10)
         assert row["pass"] and row["chain_ok"]
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestEtaSide:
+    """The eta side of both sign suites, ||sum_i ||x_i||_1 r_i||, computed
+    per (Phi, n) group, against the one-instance-at-a-time computation."""
+
+    @staticmethod
+    def _eta_reference(xs):
+        l1_norms = sp.ri_norm_rows(sf.StepRows.stack(xs), sp.lp_space(1.0))
+        return rd.sum_rearrangement(l1_norms)
+
+    def _count_group_calls(self, monkeypatch):
+        calls = {"luxemburg_norm_rows": [], "sum_rearrangement_rows": []}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(len(args[0]))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(ol, "luxemburg_norm_rows")
+        counted(ex, "sum_rearrangement_rows")
+        return calls
+
+    def test_sign_rows_match_one_instance_at_a_time(self, monkeypatch):
+        trials, n_max, seed = 60, 6, 5
+        instances = ex._sign_instances(trials, n_max, seed, 10)
+        groups = {(phi.descriptor, len(xs)) for xs, phi in instances}
+        assert {d for d, _ in groups} == set(ex._SIGN_PHIS)
+        calls = self._count_group_calls(monkeypatch)
+        rep = ex.sign_selection_report(trials=trials, n_max=n_max, seed=seed)
+        monkeypatch.undo()
+        # one Luxemburg row solve and one batch of rearrangements per group
+        assert len(calls["luxemburg_norm_rows"]) == len(groups)
+        assert sorted(calls["sum_rearrangement_rows"]) == sorted(calls["luxemburg_norm_rows"])
+        assert sum(calls["luxemburg_norm_rows"]) == trials
+        for row, (xs, phi) in zip(rep.rows, instances):
+            eta = self._eta_reference(xs)
+            rhs = ol.luxemburg_norm(eta, phi)
+            assert _bits(row["rhs"]) == _bits(rhs)
+            assert _bits(row["l1_ratio"]) == _bits(row["l1_best"] / rhs)
+            assert row["lhs"] > 0.0
+            assert _bits(row["ave_eta_modular"]) == _bits(ol.modular(eta, phi, row["lhs"]))
+
+    def test_derandomize_rows_match_one_instance_at_a_time(self, monkeypatch):
+        trials, n_max, seed = 40, 7, 9
+        instances = ex._sign_instances(trials, n_max, seed, 6)
+        groups = {(phi.descriptor, len(xs)) for xs, phi in instances}
+        assert {d for d, _ in groups} == set(ex._SIGN_PHIS)
+        calls = self._count_group_calls(monkeypatch)
+        rep = ex.derandomization_report(trials=trials, n_max=n_max, seed=seed)
+        monkeypatch.undo()
+        assert calls["luxemburg_norm_rows"] == []
+        assert len(calls["sum_rearrangement_rows"]) == len(groups)
+        for row, (xs, phi) in zip(rep.rows, instances):
+            eta = self._eta_reference(xs)
+            assert _bits(row["ave_eta_modular"]) == _bits(ol.modular(eta, phi, row["lam"]))
+
+    def test_q75_of_pairs_matches_repeated_quantile(self):
+        rng = np.random.default_rng(2)
+        checked = 0
+        for k in range(13):
+            size = 1 << k
+            cases = [
+                rng.random(size),
+                rng.integers(0, 3, size).astype(float),  # ties
+                np.zeros(size),
+                rng.integers(0, 4, size) * 5e-324,  # subnormals and zeros
+                rng.random(size) * 1e300,
+                np.where(rng.random(size) < 0.5, 1e300, rng.random(size) * 1e-310),
+            ]
+            for mods in cases:
+                before = mods.copy()
+                q75 = ex._q75_of_pairs(mods)
+                assert _bits(q75) == _bits(np.quantile(np.repeat(mods, 2), 0.75))
+                assert mods.tobytes() == before.tobytes()
+                checked += 1
+        assert checked == 13 * 6
 
 
 class TestSuitesSmoke:

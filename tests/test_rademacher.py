@@ -165,6 +165,77 @@ class TestSumRearrangement:
         rd.sum_rearrangement([1.0] * rd.MAX_EQUAL_N)  # fast path still fine
 
 
+def _mixed_rows(rng, n: int) -> np.ndarray:
+    """Rows of n coefficients, shuffled: random, all equal, zero-led,
+    integer, all zero, and random rows scaled by 1e200 and 1e-200."""
+    rows = [rng.normal(size=n) for _ in range(3)]
+    rows += [np.full(n, c) for c in (1.0, 0.1, -2.5, 1e-200)]
+    rows += [np.concatenate(([0.0], rng.normal(size=n - 1)))]
+    rows += [rng.integers(-3, 4, size=n).astype(float) for _ in range(2)]
+    rows += [np.zeros(n), np.full(n, -0.0)]
+    rows += [rng.normal(size=n) * scale for scale in (1e200, 1e-200)]
+    rows = np.array(rows)
+    return rows[rng.permutation(len(rows))]
+
+
+class TestSumRearrangementRows:
+    """Each row of `sum_rearrangement_rows` is bitwise its one-row case."""
+
+    @staticmethod
+    def _assert_rows_match(coeffs, rows):
+        assert len(rows) == len(coeffs)
+        width = rows.values.shape[1]
+        lengths = rows.lengths
+        for i, a in enumerate(coeffs):
+            f = rd.sum_rearrangement(a)
+            k = int(rows.counts[i])
+            assert k == f.k
+            assert rows.breakpoints[i, : k + 1].tobytes() == f.breakpoints.tobytes()
+            assert rows.values[i, :k].tobytes() == f.values.tobytes()
+            assert lengths[i, :k].tobytes() == f.lengths.tobytes()
+            # padding: values 0.0, breakpoints 1.0, so cells of length 0
+            assert np.all(rows.values[i, k:width] == 0.0)
+            assert np.all(rows.breakpoints[i, k + 1 :] == 1.0)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_rows_match_one_row_case(self, n, rng, monkeypatch):
+        coeffs = _mixed_rows(rng, n)
+        # both kinds of rows, and zero rows, which the validating
+        # constructor merges: one row at a time
+        self._assert_rows_match(coeffs, rd.sum_rearrangement_rows(coeffs))
+        equal = (coeffs == coeffs[:, :1]).all(axis=1)
+        batches = [coeffs[~equal], coeffs[equal & (coeffs[:, 0] != 0.0)], coeffs[~equal][:1]]
+        if n == 1:  # every row is equal, and a zero row is canonical as built
+            batches = [coeffs, coeffs[:1]]
+        for batch in batches:
+            with monkeypatch.context() as m:  # one batch, no row alone
+                m.setattr(rd, "sum_rearrangement", None)
+                rows = rd.sum_rearrangement_rows(batch)
+            self._assert_rows_match(batch, rows)
+
+    def test_first_row_over_a_cap_raises(self):
+        n = rd.MAX_ENUM_N + 1
+        coeffs = np.array([np.ones(n), np.arange(n, dtype=float)])
+        with pytest.raises(rd.RademacherError, match="enumeration cap"):
+            rd.sum_rearrangement_rows(coeffs)
+        equal = rd.sum_rearrangement_rows(coeffs[:1])
+        assert equal.row(0) == rd.sum_rearrangement(coeffs[0])
+        n = rd.MAX_EQUAL_N + 1
+        with pytest.raises(rd.RademacherError, match="equal-coefficient cap"):
+            rd.sum_rearrangement_rows(np.array([np.ones(n), np.arange(n, dtype=float)]))
+
+    @pytest.mark.parametrize("big", [[1e308, 0.9e308], [1e308, 1e308]])
+    def test_values_that_overflow_raise(self, big):
+        # as their one-row case does: the sums, or |a| n, are not finite
+        coeffs = np.array([[1.0, 2.0], big])
+        with np.errstate(over="ignore"):
+            for a in (coeffs, coeffs[1:]):
+                with pytest.raises(sf.StepFunctionError, match="finite"):
+                    rd.sum_rearrangement_rows(a)
+            with pytest.raises(sf.StepFunctionError, match="finite"):
+                rd.sum_rearrangement(coeffs[1])
+
+
 def _fraction_reference(coeffs) -> sf.StepFunction:
     """The distribution by full enumeration (binomial weights for equal
     coefficients), with each breakpoint rounded from an exact rational."""
