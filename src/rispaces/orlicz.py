@@ -17,8 +17,10 @@ Phi comes with its derivative (every catalog Phi), Newton's method in
 mu = 1/lam closes it, in which the modular M(mu) = sum_i l_i Phi(mu |v_i|)
 is convex and increasing; bisection finishes the job and stands in wherever
 Newton cannot run. Each driver evaluates f/lam and Phi(f/lam) into
-workspaces of the rows' size that it reuses, through
-`OrliczFunction.__call__(s, out)`.
+workspaces that it reuses, through `OrliczFunction.__call__(s, out)`:
+`luxemburg_norm_rows` into two of its group's size, `luxemburg_norm_max`
+Phi(f/lam) into one of the rows' size and f/lam into one of at most
+`_CHUNK` doubles, a chunk at a time where the rows hold more.
 """
 
 from __future__ import annotations
@@ -241,6 +243,25 @@ def _slope(phi: OrliczFunction, s: np.ndarray, y: np.ndarray, lengths: np.ndarra
         return dot(d, lengths)
 
 
+# doubles of rows / lam that `luxemburg_norm_max` holds at a time (128 KiB, so
+# that they stay in a 2 MiB L2 cache next to the pieces of values and Phi)
+_CHUNK = 1 << 14
+
+
+def _pieces(rows: np.ndarray, s: np.ndarray, y: np.ndarray) -> list:
+    """(piece of rows, workspace for it, piece of y) that cover the (r, k)
+    arrays rows and y in order, each piece at most _CHUNK elements: blocks
+    of whole rows, or pieces of one row where a row is longer than a chunk.
+    Each workspace is the start of the flat chunk s, shaped as its piece."""
+    r, k = rows.shape
+    if k <= _CHUNK:
+        step = _CHUNK // k
+        parts = [slice(i, i + step) for i in range(0, r, step)]
+    else:
+        parts = [(i, slice(j, j + _CHUNK)) for i in range(r) for j in range(0, k, _CHUNK)]
+    return [(rows[p], s[: rows[p].size].reshape(rows[p].shape), y[p]) for p in parts]
+
+
 def _row_dots(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The dot of each row of x with the same row of lengths, each by the
     BLAS dot of a one-row `x @ l`, bit for bit. (Over padding cells the dot
@@ -290,24 +311,41 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
     live = (sup > 0.0).nonzero()[0]  # rows that may still hold the largest norm
     rows = values if len(live) == len(values) else values[live]
     overflow = 0.0  # the largest lam at which the largest modular read inf
-    s = y = None  # rows / lam and Phi of it: one workspace, made at the first evaluation
+    # rows / lam and Phi of it, made at the first evaluation: y has the rows'
+    # size, and s too (2-d, reused by the slope) where the rows fit in one
+    # chunk; else s is one flat chunk
+    s = y = None
 
     def max_modular(lam, slope=False):
         nonlocal live, rows, overflow, s, y
         if s is None:
-            s, y = np.empty_like(rows), np.empty_like(rows)
-        np.divide(rows, lam, s)
-        m = phi(s, y) @ lengths
+            s = np.empty_like(rows) if rows.size <= _CHUNK else np.empty(_CHUNK)
+            y = np.empty_like(rows)
+        if s.ndim == 2:
+            m = phi(np.divide(rows, lam, s), y) @ lengths
+        else:
+            for v, f, out in _pieces(rows, s, y):
+                phi(np.divide(v, lam, f), out)
+            m = y @ lengths
         i = m.argmax()
         largest = float(m[i])
         if largest == math.inf:
             overflow = max(overflow, lam)
-        result = (largest, float(_slope(phi, s[i], y[i], lengths, np.dot))) if slope else largest
+        result = largest
+        if slope and s.ndim == 2:
+            result = largest, float(_slope(phi, s[i], y[i], lengths, np.dot))
+        elif slope:  # rows[i] / lam again, a chunk at a time, for the terms of `_slope`
+            with np.errstate(over="ignore", invalid="ignore"):
+                for v, f, out in _pieces(rows[i : i + 1], s, y[i : i + 1]):
+                    np.multiply(phi.dphi(np.divide(v, lam, f), out), f, out=out)
+                result = largest, float(np.dot(y[i], lengths))
         if largest > 1.0 and len(live) > 1:  # a lone row is the largest
             keep = m > 1.0
             if not keep.all():
                 live, rows = live[keep], rows[keep]
-                s, y = s[: len(rows)], y[: len(rows)]  # the surviving rows lead
+                y = y[: len(rows)]  # the surviving rows lead
+                if s.ndim == 2:
+                    s = s[: len(rows)]
         return result
 
     with np.errstate(over="ignore"):

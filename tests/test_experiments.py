@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     assert_same_step_function,
+    bits,
     sign_vectors,
     signed_sums,
     validating_canonical,
@@ -190,6 +191,27 @@ def _avg_modular_reference(base, rest, dl, phi, lam):
     idx = np.arange(1 << r)
     signs = 1.0 - 2.0 * ((idx[:, None] >> np.arange(r - 1, -1, -1)) & 1)
     return float(np.sum(phi((base + signs @ rest) / lam) @ dl)) / (1 << r)
+
+
+class TestMean:
+    """`_mean`, which the sign suites take in place of np.mean, has its bits."""
+
+    @pytest.mark.parametrize("size", [1 << e for e in range(13)])
+    def test_bitwise_np_mean(self, size, rng):
+        pools = [
+            rng.standard_normal(size),
+            rng.integers(0, 3, size).astype(float),  # ties and zeros
+            np.zeros(size),
+            rng.random(size) * 5e-324 * rng.integers(0, 4, size),  # subnormals
+            np.full(size, 1e300),
+            rng.choice([1e300, -1e300, 1.0, 0.0, 2.5e-310], size),
+            np.exp(rng.uniform(-700.0, 700.0, size)),
+        ]
+        for x in pools:
+            # the sign tables' blocks, and lengths that are not powers of two
+            for part in (x, x[size // 2 :], x[size // 4 :]):
+                with np.errstate(over="ignore"):
+                    assert bits(ex._mean(part)) == bits(np.mean(part))
 
 
 class TestDerandomization:

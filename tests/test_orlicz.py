@@ -394,6 +394,69 @@ class TestLuxemburgNormRows:
             assert bits(ol.luxemburg_norm_rows(rows.values, rows.lengths, phi)) == bits(want)
 
 
+CHUNK_PHIS = {
+    **{desc: ol.parse_orlicz(desc) for desc in MAX_PHIS},
+    "power:3.5 without p": ol._without_p(ol.power(3.5)),
+    "custom exp2": ol.custom_orlicz(lambda s: np.expm1(np.square(s)), "exp2 without dphi"),
+}
+
+
+class TestChunking:
+    """`luxemburg_norm_max` evaluates f/lam a chunk at a time where the rows
+    hold more than `_CHUNK` doubles; the chunk size moves no bit: division,
+    Phi and its derivative are elementwise, and the modular and slope dots
+    run on whole rows."""
+
+    SIZES = (8, 1000, ol._CHUNK, 1 << 30)
+
+    def _sizes(self, k: int) -> tuple:
+        # chunks of 8 only on the smaller rows, to keep the pieces few
+        return self.SIZES if k <= 3 * 1000 + 7 else self.SIZES[1:]
+
+    def _under_each_size(self, monkeypatch, values, lengths, phi) -> set:
+        results = set()
+        for size in self._sizes(lengths.size):
+            monkeypatch.setattr(ol, "_CHUNK", size)
+            try:
+                i, norm = ol.luxemburg_norm_max(values, lengths, phi)
+                results.add((i, norm.hex()))
+            except ol.OrliczError as error:
+                results.add(str(error))
+        return results
+
+    @pytest.mark.parametrize("desc", list(CHUNK_PHIS))
+    @pytest.mark.parametrize("n_rows", [1, 6])
+    def test_chunk_size_moves_no_bit(self, desc, n_rows, monkeypatch):
+        phi = CHUNK_PHIS[desc]
+        rng = np.random.default_rng(n_rows)
+        # distinct scales, so that rows are pruned, the largest row not
+        # first, and a zero row
+        scales = np.array([0.97, 0.3, 1.0, 0.0, 0.5, 0.99])[:n_rows, None]
+        for chunk in self.SIZES[:3]:
+            for k in (1, 3, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+                values = scales * rng.standard_normal(k)
+                lengths = rng.random(k) + 0.01
+                lengths /= lengths.sum()
+                results = self._under_each_size(monkeypatch, values, lengths, phi)
+                assert len(results) == 1, (chunk, k, results)
+                assert isinstance(next(iter(results)), tuple)
+
+    @pytest.mark.parametrize("desc", MAX_PHIS)
+    def test_overflow_raises_under_each_size(self, desc, monkeypatch):
+        # a cell shorter than 1/DBL_MAX, as in TestTinyNorms, in rows longer
+        # than each chunk
+        phi = ol.parse_orlicz(desc)
+        for chunk in self.SIZES[:3]:
+            k = 3 * chunk + 7
+            lengths = np.full(k, (1.0 - 1e-310) / (k - 1))
+            lengths[0] = 1e-310
+            values = np.zeros((2, k))
+            values[:, 0] = [1.0, 0.5]
+            results = self._under_each_size(monkeypatch, values, lengths, phi)
+            assert len(results) == 1, (chunk, results)
+            assert "overflows" in next(iter(results))
+
+
 class TestTinyNorms:
     """Norms far below ||f||_inf, down to the least positive double."""
 
