@@ -192,41 +192,54 @@ def _text_cell(v) -> str:
 # --- instance generators ------------------------------------------------------
 
 
-def _random_breaks(rng, max_plateaus: int) -> np.ndarray:
+# The draws run on Python floats: a function has at most max_plateaus cells,
+# too few for numpy's per-call cost to pay off. Each value takes the IEEE
+# operations of the array formula it replaces, so it keeps its bits.
+
+
+def _draw_breaks(rng, max_plateaus: int) -> list:
     """Breakpoints of a random step function: a plateau count in
-    [1, max_plateaus], then sorted uniform inner points."""
+    [1, max_plateaus], then sorted uniform inner points, a draw of 0.0 or a
+    repeated draw dropped (as `np.unique` would drop it)."""
     k = int(rng.integers(1, max_plateaus + 1))
-    breaks = np.empty(k + 1)
-    breaks[0], breaks[k] = 0.0, 1.0
-    breaks[1:k] = rng.uniform(0.0, 1.0, size=k - 1)
-    breaks[1:k].sort()
-    if (breaks[1:] > breaks[:-1]).all():
-        return breaks
-    # a draw of 0.0 or a repeated draw: drop it
-    inner = np.unique(breaks[1:k])
-    inner = inner[(inner > 0.0) & (inner < 1.0)]
-    return np.concatenate(([0.0], inner, [1.0]))
+    return [0.0, *sorted({t for t in rng.random(k - 1).tolist() if t > 0.0}), 1.0]
+
+
+def _merged(breaks: list, vals: list) -> StepFunction:
+    """The step function of `breaks` and finite `vals`, equal neighbours
+    merged as the validating constructor merges them."""
+    b, v = [0.0], [vals[0]]
+    for t, x in zip(breaks[1:-1], vals[1:]):
+        if x != v[-1]:
+            b.append(t)
+            v.append(x)
+    b.append(1.0)
+    return StepFunction._canonical(np.array(b), np.array(v, dtype=np.float64))
 
 
 def random_step_function(rng, max_plateaus: int = 10) -> StepFunction:
     """Random plateau count in [1, max_plateaus], sorted-uniform breakpoints,
-    symmetric values with occasional large spikes to stress exponential tails."""
-    breaks = _random_breaks(rng, max_plateaus)
-    vals = rng.uniform(-1.0, 1.0, size=len(breaks) - 1)
-    spikes = rng.random(len(vals)) < _SPIKE_PROB
-    vals[spikes] *= _SPIKE_SCALE
-    if (vals[1:] == vals[:-1]).any():
-        return StepFunction(breaks, vals)  # merges the equal neighbours
-    return StepFunction._canonical(breaks, vals)
+    symmetric values with occasional large spikes to stress exponential tails.
+
+    One `random(2m)` draw gives the m values, as uniform(-1, 1) would (2d - 1),
+    then the m spike draws."""
+    breaks = _draw_breaks(rng, max_plateaus)
+    m = len(breaks) - 1
+    draws = rng.random(2 * m).tolist()
+    vals = [2.0 * d - 1.0 for d in draws[:m]]
+    for i, u in enumerate(draws[m:]):
+        if u < _SPIKE_PROB:
+            vals[i] *= _SPIKE_SCALE
+    return _merged(breaks, vals)
 
 
 def random_indicator_function(rng, max_plateaus: int = 10) -> StepFunction:
     """Random 0/1-valued step function with at least one plateau of ones."""
-    breaks = _random_breaks(rng, max_plateaus)
-    vals = rng.integers(0, 2, size=len(breaks) - 1).astype(float)
-    if not np.any(vals == 1.0):
-        vals[int(rng.integers(0, len(vals)))] = 1.0
-    return StepFunction(breaks, vals)
+    breaks = _draw_breaks(rng, max_plateaus)
+    vals = rng.integers(0, 2, size=len(breaks) - 1).tolist()
+    if 1 not in vals:
+        vals[int(rng.integers(0, len(vals)))] = 1
+    return _merged(breaks, vals)
 
 
 def _random_unit_vector(rng, n: int) -> np.ndarray:
@@ -601,14 +614,17 @@ def envelope_lemma_check(
     rng = np.random.default_rng(seed)
     fs = StepRows.stack([random_step_function(rng) for _ in range(trials)])
     gs = StepRows.stack([random_indicator_function(rng) for _ in range(indicator_trials)])
+    # the sups rearrange their rows, and an already rearranged batch comes back
+    # unchanged; the norms take fs and gs, their cell order fixing the dots' sums
+    fs_star, gs_star = rearrange_rows(fs), rearrange_rows(gs)
     rows = []
     ok = True
     for name, space in spaces.items():
         env = envelope_weight(space)
-        margins = ri_norm_rows(fs, space) - _weights.marcinkiewicz_sup_rows(fs, env)[0]
+        margins = ri_norm_rows(fs, space) - _weights.marcinkiewicz_sup_rows(fs_star, env)[0]
         worst = float(margins.min())
         lhs = ri_norm_rows(gs, space)
-        rhs = _weights.marcinkiewicz_sup_rows(gs, env)[0]
+        rhs = _weights.marcinkiewicz_sup_rows(gs_star, env)[0]
         worst_gap = float((np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)).max())
         row_ok = worst >= -INEQ_SLACK * 10 and worst_gap <= EQ_RTOL
         ok = ok and row_ok

@@ -6,10 +6,10 @@ the modular at the lam it chooses and is sent the value, so it runs under
 two drivers: `luxemburg_norm_max` runs one search on the largest modular
 among rows of values on one partition (`luxemburg_norm` is its one-row
 case), and `luxemburg_norm_rows` runs one search per row of a padded batch,
-in lock-step, evaluating every pending row in one pass of Phi per piece
-count. For Phi(s) = |s|^p the modular is lam^(-p) integral |f|^p, so the
-norm is the Lp norm: the search takes it in closed form and only checks the
-modular there. Otherwise it brackets: the modular is continuous and
+in lock-step, evaluating every pending row in one pass of Phi per round.
+For Phi(s) = |s|^p the modular is lam^(-p) integral |f|^p, so the norm is
+the Lp norm: the search takes it in closed form and only checks the modular
+there. Otherwise it brackets: the modular is continuous and
 non-increasing in lam for step functions and finite-valued Phi, so the norm
 is bracketed between ||f||_inf 2^j and ||f||_inf 2^(j+1) by a galloping
 search on the integer j, and the bracket is closed to 1e-12 relative. Where
@@ -18,9 +18,9 @@ mu = 1/lam closes it, in which the modular M(mu) = sum_i l_i Phi(mu |v_i|)
 is convex and increasing; bisection finishes the job and stands in wherever
 Newton cannot run. Each driver evaluates f/lam and Phi(f/lam) into
 workspaces that it reuses, through `OrliczFunction.__call__(s, out)`:
-`luxemburg_norm_rows` into two of its group's size, `luxemburg_norm_max`
-Phi(f/lam) into one of the rows' size and f/lam into one of at most
-`_CHUNK` doubles, a chunk at a time where the rows hold more.
+`luxemburg_norm_rows` into two flat ones of its rows' cells,
+`luxemburg_norm_max` Phi(f/lam) into one of the rows' size and f/lam into
+one of at most `_CHUNK` doubles, a chunk at a time where the rows hold more.
 """
 
 from __future__ import annotations
@@ -372,9 +372,9 @@ def luxemburg_norm_rows(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunc
 
     Each nonzero row has its own search, the one of `luxemburg_norm_max`: the
     closed form for a power Phi, checked on the modular, then the root find
-    from the row's ||f||_inf. The searches run in lock-step. Each round
-    evaluates every pending row at its own lam, in one pass of Phi per group
-    of rows with the same k, and a row's modular and slope are dots over its
+    from the row's ||f||_inf. The searches run in lock-step (`_Lockstep`).
+    Each round evaluates every pending row at its own lam in one pass of Phi
+    over all their cells, and a row's modular and slope are dots over its
     own k cells (`_row_dots`), as in its one-row case. A one-row batch takes
     that one-row case, `luxemburg_norm_max`, itself: it evaluates on views of
     the row, and each evaluation costs less than a round. An all-zero row
@@ -389,53 +389,71 @@ def luxemburg_norm_rows(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunc
         return np.array([luxemburg_norm_max(values[:, :k], lengths[0, :k], phi)[1]])
     norms = np.zeros(len(values))
     errors = {}  # row -> its OrliczError
-    groups = []
+    index, ks, V, L, searches = [], [], [], [], []  # of the nonzero rows, by piece count
     with np.errstate(over="ignore"):
         for k in np.unique(counts).tolist():
-            index = (counts == k).nonzero()[0]
-            V, L = values[index, :k], lengths[index, :k]
-            sup = np.abs(V).max(axis=1)
+            rows = (counts == k).nonzero()[0]
+            Vk, Lk = values[rows, :k], lengths[rows, :k]
+            sup = np.abs(Vk).max(axis=1)
             live = sup > 0.0
             if not live.all():
-                index, V, L, sup = index[live], V[live], L[live], sup[live]
-            closed = [None] * len(index)
+                rows, Vk, Lk, sup = rows[live], Vk[live], Lk[live], sup[live]
+            closed = [None] * len(rows)
             if phi.p is not None:
-                closed = _lp_of_abs(np.abs(V), phi.p, lambda a: _row_dots(a, L)).tolist()
-            searches = [_row_search(lam, top, phi.dphi is not None)
-                        for lam, top in zip(closed, sup.tolist())]
-            if searches:
-                groups.append(_Lockstep(index, V, L, searches))
-        while groups:
-            groups = [g for g in groups if g.round(phi, norms, errors)]
+                closed = _lp_of_abs(np.abs(Vk), phi.p, lambda a: _row_dots(a, Lk)).tolist()
+            searches += [_row_search(lam, top, phi.dphi is not None)
+                         for lam, top in zip(closed, sup.tolist())]
+            index += rows.tolist()
+            ks += [k] * len(rows)
+            V.append(Vk.ravel())
+            L.append(Lk.ravel())
+        if searches:
+            lockstep = _Lockstep(index, ks, np.concatenate(V), np.concatenate(L), searches)
+            while lockstep.round(phi, norms, errors):
+                pass
     if errors:
         raise errors[min(errors)]
     return norms
 
 
 class _Lockstep:
-    """The pending rows of one piece count k in `luxemburg_norm_rows`: their
-    cells, one workspace for V/lam and Phi of it, and for each row its search,
-    the (lam, slope) it asks for, and the largest lam at which its modular
-    read inf."""
+    """The pending rows of `luxemburg_norm_rows`, ordered by piece count k:
+    their cells in one flat array, V and L, with one workspace of that size
+    for V/lam and one for Phi of it, and for each row its k, its search, the
+    (lam, slope) it asks for, and the largest lam at which its modular read
+    inf. A row's cells are a piece of the flat arrays, and the rows of one k
+    are one (rows, k) block of them."""
 
-    def __init__(self, index, V, L, searches):
-        self.index, self.V, self.L = index.tolist(), V, L
+    def __init__(self, index, ks, V, L, searches):
+        self.index, self.ks, self.V, self.L = index, np.array(ks), V, L
+        self.blocks = list(zip(*np.unique(self.ks, return_counts=True)[::-1]))
         self.S, self.Y = np.empty_like(V), np.empty_like(V)
         self.searches = searches
         self.requests = [next(search) for search in searches]
         self.overflow = [0.0] * len(searches)
 
+    def _dots(self, x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """`_row_dots` of each row's cells of the flat x and lengths, one
+        (rows, k) block at a time."""
+        dots, start = [], 0
+        for r, k in self.blocks:
+            stop = start + r * k
+            dots.append(_row_dots(x[start:stop].reshape(r, k), lengths[start:stop].reshape(r, k)))
+            start = stop
+        return np.concatenate(dots)
+
     def round(self, phi, norms, errors) -> bool:
-        """Evaluate each row at its own lam and send it the modular, or the
-        modular and its slope. A row whose search ends leaves the group, its
-        norm in `norms` or its OrliczError in `errors`. False once none is
-        left."""
-        n = len(self.searches)
+        """Evaluate each row at its own lam, in one pass of Phi over the
+        pending cells, and send it the modular, or the modular and its slope.
+        A row whose search ends leaves, its norm in `norms` or its
+        OrliczError in `errors`, and its cells are compacted out. False once
+        no row is left."""
+        n = len(self.V)
         S, Y = self.S[:n], self.Y[:n]
-        np.divide(self.V, np.array([lam for lam, _ in self.requests])[:, None], S)
-        modulars = _row_dots(phi(S, Y), self.L).tolist()
+        np.divide(self.V, np.repeat([lam for lam, _ in self.requests], self.ks), S)
+        modulars = self._dots(phi(S, Y), self.L).tolist()
         if any(slope for _, slope in self.requests):  # every row's: one pass
-            slopes = _slope(phi, S, Y, self.L, _row_dots).tolist()
+            slopes = _slope(phi, S, Y, self.L, self._dots).tolist()
         keep = []
         for i, ((lam, slope), m) in enumerate(zip(self.requests, modulars)):
             if m == math.inf:
@@ -450,13 +468,19 @@ class _Lockstep:
                     errors[self.index[i]] = error
             except OrliczError as error:
                 errors[self.index[i]] = error
-        if len(keep) < n:
-            self.V, self.L = self.V[keep], self.L[keep]
+        if len(keep) < len(self.searches):
+            alive = np.zeros(len(self.ks), dtype=bool)
+            alive[keep] = True
+            cells = np.repeat(alive, self.ks)
+            self.V, self.L, self.ks = self.V[cells], self.L[cells], self.ks[alive]
+            self.blocks = list(zip(*np.unique(self.ks, return_counts=True)[::-1]))
             self.index = [self.index[i] for i in keep]
             self.searches = [self.searches[i] for i in keep]
             self.requests = [self.requests[i] for i in keep]
             self.overflow = [self.overflow[i] for i in keep]
         return bool(keep)
+
+
 
 
 def _overflow_error(norm: float, overflow: float) -> Optional[OrliczError]:

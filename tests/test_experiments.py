@@ -52,6 +52,17 @@ def _reference_step_function(rng, max_plateaus):
     return sf.StepFunction(breaks, vals)
 
 
+def _reference_indicator_function(rng, max_plateaus):
+    """`random_indicator_function` on numpy arrays, with the validating
+    constructor."""
+    k = int(rng.integers(1, max_plateaus + 1))
+    breaks = _reference_breaks(rng.uniform(0.0, 1.0, size=k - 1))
+    vals = rng.integers(0, 2, size=len(breaks) - 1).astype(float)
+    if not np.any(vals == 1.0):
+        vals[int(rng.integers(0, len(vals)))] = 1.0
+    return sf.StepFunction(breaks, vals)
+
+
 def _reference_breaks(draws):
     inner = np.unique(draws)
     inner = inner[(inner > 0.0) & (inner < 1.0)]
@@ -59,22 +70,30 @@ def _reference_breaks(draws):
 
 
 class _ScriptedRng:
-    """Stands in for a Generator: `integers` returns k, each `uniform` the
-    next scripted draws, and `random` ones (so no spikes)."""
+    """Stands in for a Generator: `integers` returns k, then each of `ints`
+    in turn, and each `random` the next scripted draws."""
 
-    def __init__(self, k, *uniforms):
-        self.k, self.uniforms = k, list(uniforms)
+    def __init__(self, k, *randoms, ints=()):
+        self.ints, self.randoms = [k, *ints], list(randoms)
 
-    def integers(self, low, high):
-        return self.k
-
-    def uniform(self, low, high, size):
-        draws = np.array(self.uniforms.pop(0), dtype=np.float64)
-        assert draws.shape == (size,)
+    def integers(self, low, high, size=None):
+        draws = np.array(self.ints.pop(0))
+        assert draws.shape == (() if size is None else (size,))
+        assert ((low <= draws) & (draws < high)).all()
         return draws
 
     def random(self, size):
-        return np.ones(size)
+        draws = np.array(self.randoms.pop(0), dtype=np.float64)
+        assert draws.shape == (size,)
+        return draws
+
+
+def _values_draws(values, spikes=None):
+    """The `random(2m)` draws of `random_step_function` that give `values`
+    (dyadic, so that v = 2d - 1 exactly), and no spikes unless the spike
+    draws are given."""
+    spikes = spikes or [1.0] * len(values)
+    return [(v + 1.0) / 2.0 for v in values] + spikes
 
 
 class TestGenerators:
@@ -86,6 +105,14 @@ class TestGenerators:
                 f = ex.random_step_function(rng, max_plateaus)
                 assert_same_step_function(f, _reference_step_function(ref, max_plateaus))
 
+    @pytest.mark.parametrize("max_plateaus", [1, 2, 6, 10])
+    def test_random_indicator_function_matches_validating_constructor(self, max_plateaus):
+        for seed in range(300):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                f = ex.random_indicator_function(rng, max_plateaus)
+                assert_same_step_function(f, _reference_indicator_function(ref, max_plateaus))
+
     @pytest.mark.parametrize("draws", [
         [0.5, 0.0, 0.25, 0.5],  # a zero and a repeat
         [0.0],
@@ -93,19 +120,42 @@ class TestGenerators:
         [0.0, 0.0, 0.3],
     ])
     def test_random_breaks_fallback_matches_unique(self, draws):
-        got = ex._random_breaks(_ScriptedRng(len(draws) + 1, draws), 10)
-        assert got.tobytes() == _reference_breaks(np.array(draws)).tobytes()
+        want = _reference_breaks(np.array(draws))
+        m = len(want) - 1
+        values = [(i + 1) / 8 for i in range(m)]  # distinct and exact: no cell is merged
+        f = ex.random_step_function(_ScriptedRng(len(draws) + 1, draws, _values_draws(values)))
+        assert f.breakpoints.tobytes() == want.tobytes()
+        assert list(f.values) == values
 
     def test_equal_neighbouring_values_are_merged(self):
-        rng = _ScriptedRng(4, [0.6, 0.2, 0.4], [0.5, 0.5, -0.25, -0.25])
+        rng = _ScriptedRng(4, [0.6, 0.2, 0.4], _values_draws([0.5, 0.5, -0.25, -0.25]))
         f = ex.random_step_function(rng)
         assert list(f.breakpoints) == [0.0, 0.4, 1.0]
         assert list(f.values) == [0.5, -0.25]
 
+    def test_spikes_scale_their_cells(self):
+        # a spike draw below _SPIKE_PROB scales its cell; two equal spikes merge
+        draws = _values_draws([0.25, -0.5, -0.5, 0.75], [0.5, 0.0, 0.05, 0.1])
+        f = ex.random_step_function(_ScriptedRng(4, [0.3, 0.1, 0.7], draws))
+        assert list(f.breakpoints) == [0.0, 0.1, 0.7, 1.0]
+        assert list(f.values) == [0.25, -5.0, 0.75]
+
+    @pytest.mark.parametrize("breaks, ints, want_breaks, want_values", [
+        # all-zero values: one cell, drawn by a second `integers`, is forced to 1
+        ([0.5, 0.25], [[0, 0, 0], 1], [0.0, 0.25, 0.5, 1.0], [0.0, 1.0, 0.0]),
+        ([0.6, 0.2, 0.4], [[1, 1, 0, 0]], [0.0, 0.4, 1.0], [1.0, 0.0]),  # merged neighbours
+        ([0.5, 0.0, 0.5], [[0, 1]], [0.0, 0.5, 1.0], [0.0, 1.0]),  # a 0.0 and a repeated break
+        ([0.0], [[0], 0], [0.0, 1.0], [1.0]),  # one cell left, forced to 1
+    ])
+    def test_scripted_indicators(self, breaks, ints, want_breaks, want_values):
+        f = ex.random_indicator_function(_ScriptedRng(len(breaks) + 1, breaks, ints=ints))
+        assert_same_step_function(f, sf.StepFunction(want_breaks, want_values))
+
     def test_sign_suites_unchanged_with_validation(self, monkeypatch):
         def reports():
             return (ex.sign_selection_report(trials=30, n_max=5, seed=3).to_json(),
-                    ex.derandomization_report(trials=20, n_max=6, seed=7).to_json())
+                    ex.derandomization_report(trials=20, n_max=6, seed=7).to_json(),
+                    ex.envelope_lemma_check(trials=30, indicator_trials=20, seed=5).to_json())
 
         fast = reports()
         calls = validating_canonical(monkeypatch)
@@ -509,6 +559,22 @@ class TestSuitesSmoke:
         assert diagnosed == []
         for E in sp.catalog().values():
             assert sp.envelope_weight(E) is sp.envelope_weight(E)
+
+    def test_envelope_rearranges_each_batch_once_for_its_sups(self, monkeypatch):
+        # the eight sups take the rearranged batches, which come back unchanged;
+        # only the G1 and MG norms rearrange fs and gs again
+        done = []
+
+        def counting(rows):
+            out = sf.rearrange_rows(rows)
+            if out is not rows:
+                done.append(len(rows))
+            return out
+
+        for module in (ex, sp, wt):
+            monkeypatch.setattr(module, "rearrange_rows", counting)
+        assert ex.envelope_lemma_check(trials=30, indicator_trials=20).passed
+        assert sorted(done) == [20] * 3 + [30] * 3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_envelope_of_a_hinge_near_the_largest_double(self):

@@ -394,6 +394,68 @@ class TestLuxemburgNormRows:
             assert bits(ol.luxemburg_norm_rows(rows.values, rows.lengths, phi)) == bits(want)
 
 
+class TestLockstepRounds:
+    """`luxemburg_norm_rows` evaluates Phi once per lock-step round, over the
+    cells of every pending row, whatever their piece counts."""
+
+    @staticmethod
+    def _batch():
+        rng = np.random.default_rng(5)
+        fs = []
+        for k in (1, 2, 3, 5, 8, 13):
+            breaks = np.concatenate(([0.0], np.sort(rng.random(k - 1)), [1.0]))
+            for scale in (-60, 0, 40):  # far from ||f||_inf or near it: different rounds
+                fs.append(sf.StepFunction(breaks, np.ldexp(rng.standard_normal(k), scale)))
+        fs.insert(4, sf.constant(0.0))
+        fs.insert(11, sf.constant(0.0))
+        fs.append(sf.step_function([0.0, 0.5, 1.0], [0.0, 1.0]))
+        return fs
+
+    @staticmethod
+    def _one_row_counts(fs, base):
+        """Each row's one-row norm, or its OrliczError, with the Phi calls and
+        elements it took."""
+        out = []
+        for f in fs:
+            phi, calls = _counting(base, base.dphi)
+            try:
+                result = ol.luxemburg_norm(f, phi)
+            except ol.OrliczError as error:
+                result = error
+            out.append((result, calls[0], calls[1]))
+        return out
+
+    @pytest.mark.parametrize("desc", ["exp2", "hinge:1"])
+    def test_one_phi_call_per_round(self, desc):
+        base = ol.parse_orlicz(desc)
+        fs = self._batch()
+        assert len({f.k for f in fs}) >= 5
+        one = self._one_row_counts(fs, base)
+        assert len({n for _, n, _ in one if n}) > 1  # rows finish in different rounds
+        phi, calls = _counting(base, base.dphi)
+        rows = sf.StepRows.stack(fs)
+        norms = ol.luxemburg_norm_rows(rows.values, rows.lengths, phi)
+        assert bits(norms) == bits([result for result, _, _ in one])
+        # one call per round, and the rounds are the longest search's; finished
+        # rows leave, so each row's cells are evaluated once per its own search
+        assert calls == [max(n for _, n, _ in one), sum(elems for _, _, elems in one)]
+
+    def test_first_rows_error_is_raised(self):
+        base = ol.exp_square()
+        fs = self._batch()
+        fs.insert(7, sf.indicator(5e-324))  # overflows up to its norm
+        fs.insert(2, sf.constant(1.7e308))  # exceeds 1 at the largest double
+        one = self._one_row_counts(fs, base)
+        errors = [result for result, _, _ in one if isinstance(result, ol.OrliczError)]
+        assert len(errors) == 2
+        phi, calls = _counting(base, base.dphi)
+        rows = sf.StepRows.stack(fs)
+        with pytest.raises(ol.OrliczError) as info:
+            ol.luxemburg_norm_rows(rows.values, rows.lengths, phi)
+        assert str(info.value) == str(errors[0])
+        assert calls[0] == max(n for _, n, _ in one)
+
+
 CHUNK_PHIS = {
     **{desc: ol.parse_orlicz(desc) for desc in MAX_PHIS},
     "power:3.5 without p": ol._without_p(ol.power(3.5)),
@@ -541,18 +603,20 @@ class TestTinyNorms:
 
 
 def _counting(phi, dphi):
-    """(Phi, calls): `phi` with a count of its evaluations in calls[0], and
-    `dphi` as its derivative (None: a custom Phi). It passes `out` on to
-    phi, so a catalog body still evaluates in place, as in the solver."""
-    calls = [0]
+    """(Phi, calls): `phi` with a count of its evaluations in calls[0] and of
+    the elements they took in calls[1], and `dphi` as its derivative (None:
+    a custom Phi). It passes `out` on to phi, so a catalog body still
+    evaluates in place, as in the solver."""
+    calls = [0, 0]
 
     def fn(s, out=None):
         calls[0] += 1
+        calls[1] += np.size(s)
         return phi(s, out)
 
     counted = ol.OrliczFunction(fn, phi.descriptor, dphi)
     object.__setattr__(counted, "takes_out", True)  # as the catalog constructors record it
-    calls[0] = 0  # not the validation's evaluations
+    calls[:] = [0, 0]  # not the validation's evaluations
     return counted, calls
 
 
