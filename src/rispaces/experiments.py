@@ -103,7 +103,9 @@ def _require(minimum: int, **params) -> None:
 
 @dataclass
 class ExperimentReport:
-    """One verification run: parameters in, rows and a pass flag out."""
+    """One verification run: parameters in, rows and a pass flag out, all
+    plain Python values (dict, list, str, int, float, bool, None), which
+    `to_json` dumps as built."""
 
     name: str
     params: dict
@@ -117,16 +119,14 @@ class ExperimentReport:
         return bool(self.summary.get("pass", False))
 
     def as_dict(self) -> dict:
-        return _pyify(
-            {
-                "experiment": self.name,
-                "version": self.version,
-                "seed": self.seed,
-                "params": self.params,
-                "rows": self.rows,
-                "summary": self.summary,
-            }
-        )
+        return {
+            "experiment": self.name,
+            "version": self.version,
+            "seed": self.seed,
+            "params": self.params,
+            "rows": self.rows,
+            "summary": self.summary,
+        }
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
@@ -160,19 +160,6 @@ class ExperimentReport:
             lines.append(f"  {key}: {_text_cell(self.summary[key])}")
         lines.append("PASS" if self.passed else "FAIL")
         return "\n".join(lines) + "\n"
-
-
-def _pyify(obj):
-    """Recursively turn numpy scalars/arrays into plain Python values."""
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    return obj
 
 
 def _csv_cell(v) -> str:
@@ -305,7 +292,7 @@ def derandomized_signs(xs, phi: _orlicz.OrliczFunction, lam: float):
     if lam <= 0.0:
         raise ExperimentError(f"lam must be positive, got {lam}")
     _, dl, _, S = _half_sign_sums(xs)
-    return _row_signs(_conditional_signs(phi(S / lam) @ dl), len(xs))
+    return _row_signs(_conditional_signs(phi(np.divide(S, lam, S), S) @ dl), len(xs))
 
 
 def _conditional_signs(mods) -> int:
@@ -382,7 +369,7 @@ def _sign_row(xs, phi: _orlicz.OrliczFunction, rhs: float, rhs_fn: StepFunction)
     row["l1_ratio"] = l1_best / rhs if rhs > 0 else math.inf
     # the averaged-modular chain the proof actually establishes, at lam = lhs
     if best > 0.0:
-        ave_eps = float(_mean(phi(S / best) @ dl))
+        ave_eps = float(_mean(phi(np.divide(S, best, S), S) @ dl))
         ave_eta = _orlicz.modular(rhs_fn, phi, best)
         row["ave_eta_modular"] = ave_eta
         row["ave_eps_modular"] = ave_eps
@@ -412,7 +399,7 @@ def _derandomize_row(xs, phi: _orlicz.OrliczFunction, eta: StepFunction) -> dict
     _, dl, X, S = _half_sign_sums(xs)
     # keep |values|/lam <= 1 so the exp-square modular stays tame
     lam = max(float(np.max(np.abs(X).sum(axis=0))), 1e-9)
-    mods = phi(S / lam) @ dl
+    mods = phi(np.divide(S, lam, S), S) @ dl
     greedy = float(mods[_conditional_signs(mods)])
     avg = float(_mean(mods))
     q75 = _q75_of_pairs(mods)
@@ -794,7 +781,7 @@ def hinge_sandwich_report(
         vals = np.abs(f.values)
         mus = np.unique(np.concatenate(([0.0], vals, (vals[:-1] + vals[1:]) / 2.0)))
         penalties = [
-            t * mu + float(np.dot(np.maximum(vals - mu, 0.0), f.lengths)) for mu in mus
+            t * mu + float(np.dot(np.maximum(vals - mu, 0.0), f.lengths)) for mu in mus.tolist()
         ]
         lo = min(penalties)
         oracle_worst = max(oracle_worst, abs(A - lo) / A if A else math.inf if lo else 0.0)
@@ -838,7 +825,7 @@ def rearrangement_report(trials: int = 10000, seed: int = 42) -> ExperimentRepor
         cells = zip(np.abs(fs.values), fs.lengths, fs.counts, rs.values, rs.lengths, rs.counts)
         for fv, fl, k, rv, rl, kr in cells:
             fv, fl, rv, rl = fv[:k], fl[:k], rv[:kr], rl[:kr]
-            a = np.sort(np.unique(fv))
+            a = np.unique(fv)
             cs = np.concatenate((a, (a[:-1] + a[1:]) / 2.0, a * 0.999999))
             cs = cs[cs > 0.0]
             m1 = (fv[None, :] > cs[:, None]) @ fl

@@ -18,9 +18,11 @@ mu = 1/lam closes it, in which the modular M(mu) = sum_i l_i Phi(mu |v_i|)
 is convex and increasing; bisection finishes the job and stands in wherever
 Newton cannot run. Each driver evaluates f/lam and Phi(f/lam) into
 workspaces that it reuses, through `OrliczFunction.__call__(s, out)`:
-`luxemburg_norm_rows` into two flat ones of its rows' cells,
-`luxemburg_norm_max` Phi(f/lam) into one of the rows' size and f/lam into
-one of at most `_CHUNK` doubles, a chunk at a time where the rows hold more.
+`luxemburg_norm_rows` into two flat ones of its rows' cells, and
+`luxemburg_norm_max` into two of the rows' size where the rows fit in
+`_CHUNK` doubles; where they hold more, it divides them straight into the
+Phi workspace and evaluates Phi there in place, and keeps only one chunk of
+the largest row's f/lam, for the slope.
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ class OrliczFunction:
 
     def __call__(self, s, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Phi(s), evaluated into `out` where given: a float64 array of the
-        shape of s that must not alias s. Without `takes_out`, fn(s) is
-        copied into it."""
+        shape of s, which may be s itself. Without `takes_out`, fn(s) is a
+        new array that is copied into it, so in `luxemburg_norm_max` above a
+        chunk its temporary has the rows' size."""
         s = np.asarray(s, dtype=np.float64)
         if self.takes_out:
             return self.fn(s, out)
@@ -243,23 +246,10 @@ def _slope(phi: OrliczFunction, s: np.ndarray, y: np.ndarray, lengths: np.ndarra
         return dot(d, lengths)
 
 
-# doubles of rows / lam that `luxemburg_norm_max` holds at a time (128 KiB, so
-# that they stay in a 2 MiB L2 cache next to the pieces of values and Phi)
+# rows of at most this many doubles (128 KiB, which stays in a 2 MiB L2 cache)
+# keep their f/lam in `luxemburg_norm_max` for the slope; larger ones keep one
+# chunk of the largest row's
 _CHUNK = 1 << 14
-
-
-def _pieces(rows: np.ndarray, s: np.ndarray, y: np.ndarray) -> list:
-    """(piece of rows, workspace for it, piece of y) that cover the (r, k)
-    arrays rows and y in order, each piece at most _CHUNK elements: blocks
-    of whole rows, or pieces of one row where a row is longer than a chunk.
-    Each workspace is the start of the flat chunk s, shaped as its piece."""
-    r, k = rows.shape
-    if k <= _CHUNK:
-        step = _CHUNK // k
-        parts = [slice(i, i + step) for i in range(0, r, step)]
-    else:
-        parts = [(i, slice(j, j + _CHUNK)) for i in range(r) for j in range(0, k, _CHUNK)]
-    return [(rows[p], s[: rows[p].size].reshape(rows[p].shape), y[p]) for p in parts]
 
 
 def _row_dots(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -301,6 +291,11 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
     overflows to inf up to the norm (intervals shorter than about
     1/DBL_MAX), the root found is the overflow threshold, not the norm, and
     OrliczError is raised.
+
+    Phi(rows / lam) goes into one workspace of the rows' size. Where the
+    rows hold more than `_CHUNK` doubles, rows / lam is divided into that
+    workspace and Phi is taken in place, and a slope divides the largest
+    row again, a chunk at a time; smaller rows keep rows / lam for it.
     """
     values = np.asarray(values, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.float64)
@@ -311,22 +306,16 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
     live = (sup > 0.0).nonzero()[0]  # rows that may still hold the largest norm
     rows = values if len(live) == len(values) else values[live]
     overflow = 0.0  # the largest lam at which the largest modular read inf
-    # rows / lam and Phi of it, made at the first evaluation: y has the rows'
-    # size, and s too (2-d, reused by the slope) where the rows fit in one
-    # chunk; else s is one flat chunk
+    # rows / lam and Phi of it, made at the first evaluation; s is 2-d where
+    # the rows fit in one chunk, else one chunk of a row
     s = y = None
 
     def max_modular(lam, slope=False):
         nonlocal live, rows, overflow, s, y
-        if s is None:
-            s = np.empty_like(rows) if rows.size <= _CHUNK else np.empty(_CHUNK)
+        if y is None:
             y = np.empty_like(rows)
-        if s.ndim == 2:
-            m = phi(np.divide(rows, lam, s), y) @ lengths
-        else:
-            for v, f, out in _pieces(rows, s, y):
-                phi(np.divide(v, lam, f), out)
-            m = y @ lengths
+            s = np.empty_like(rows) if rows.size <= _CHUNK else np.empty(min(rows.shape[1], _CHUNK))
+        m = phi(np.divide(rows, lam, s if s.ndim == 2 else y), y) @ lengths
         i = m.argmax()
         largest = float(m[i])
         if largest == math.inf:
@@ -336,8 +325,10 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
             result = largest, float(_slope(phi, s[i], y[i], lengths, np.dot))
         elif slope:  # rows[i] / lam again, a chunk at a time, for the terms of `_slope`
             with np.errstate(over="ignore", invalid="ignore"):
-                for v, f, out in _pieces(rows[i : i + 1], s, y[i : i + 1]):
-                    np.multiply(phi.dphi(np.divide(v, lam, f), out), f, out=out)
+                for j in range(0, rows.shape[1], len(s)):
+                    v, out = rows[i, j : j + len(s)], y[i, j : j + len(s)]
+                    f = np.divide(v, lam, s[: len(v)])
+                    np.multiply(phi.dphi(f, out), f, out=out)
                 result = largest, float(np.dot(y[i], lengths))
         if largest > 1.0 and len(live) > 1:  # a lone row is the largest
             keep = m > 1.0

@@ -101,15 +101,6 @@ def _atoms_to_rows(values: np.ndarray, cum: np.ndarray, counts: np.ndarray, deno
     return breaks, built
 
 
-def _atoms_to_step(values_desc: np.ndarray, cum: np.ndarray, denominator: int) -> StepFunction:
-    """Step function from atoms in descending order of value: atom i holds
-    values_desc[i] on (cum[i], cum[i+1]] / denominator; the one-row case of
-    `_atoms_to_rows`, which divides `cum` in place."""
-    breaks, built = _atoms_to_rows(values_desc[None, :], cum, np.array([len(values_desc)]),
-                                   denominator)
-    return (StepFunction._canonical if built[0] else StepFunction)(breaks[0], values_desc)
-
-
 def _binomial_atoms(c: np.ndarray, n: int):
     """(values, cum, counts, denominator) of |c (eps_1 + ... + eps_n)| for each
     c >= 0 of `c`: the values c |n - 2k| for k <= n/2, with weights C(n, k),
@@ -126,13 +117,11 @@ def _enumerated_atoms(a: np.ndarray):
     of `a`, by enumeration: eps_0 = -1 gives the exact negations, so the
     2^(n-1) sums with eps_0 = +1 carry the distribution. The kernel runs once
     on all rows, elementwise, so each row's sums are bitwise its own
-    enumeration; they are sorted and compacted in their own buffer, which
-    holds the values when all of them differ. (One row goes through the
-    kernel as a vector: the same sums, with less overhead per step.)"""
-    if len(a) == 1:
-        atoms = _kernel.enumerate_signed_sums(a[0, 1:], start=a[0, 0])[None, :]
-    else:
-        atoms = np.ascontiguousarray(_kernel.enumerate_signed_sums(a[:, 1:].T, start=a[:, 0]).T)
+    enumeration. It writes them through the transpose of one buffer with a
+    row of sums per row of `a`; they are sorted and compacted there, row by
+    row, and the buffer holds the values when all of them differ."""
+    atoms = np.empty((len(a), 1 << (a.shape[1] - 1)))
+    _kernel.enumerate_signed_sums(a[:, 1:].T, start=a[:, 0], out=atoms.T)
     m, size = atoms.shape
     # sorted in place: -|s| ascending is |s| descending
     np.negative(np.abs(atoms, out=atoms), out=atoms)

@@ -22,7 +22,7 @@ from rispaces import weights as wt
 class TestReportPlumbing:
     def test_json_roundtrip(self):
         rep = ex.ExperimentReport(
-            "demo", {"k": 1}, rows=[{"a": np.float64(1.5), "b": np.True_}],
+            "demo", {"k": 1}, rows=[{"a": np.float64(1.5), "b": True}],
             summary={"pass": True}, seed=7,
         )
         data = json.loads(rep.to_json())
@@ -351,9 +351,9 @@ class TestDerandomization:
         calls = []
         call = ol.OrliczFunction.__call__
 
-        def counted(self, s):
+        def counted(self, s, out=None):
             calls.append(1)
-            return call(self, s)
+            return call(self, s, out)
 
         monkeypatch.setattr(ol.OrliczFunction, "__call__", counted)
         ex.derandomization_report(trials=12, n_max=6, seed=5)

@@ -80,16 +80,18 @@ PHI_INPUTS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-160, 0.
 
 class TestEvaluateInto:
     """phi(s, out=y) writes Phi(s) into y, with the bits of phi(s) and of
-    the plain numpy expression of each catalog Phi."""
+    the plain numpy expression of each catalog Phi; y may be s itself."""
 
     @staticmethod
     def _check(phi, want):
         y = np.full_like(PHI_INPUTS, np.nan)
+        s = PHI_INPUTS.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             got = phi(PHI_INPUTS, out=y)
             fresh = phi(PHI_INPUTS)
-        assert got is y
-        assert y.tobytes() == fresh.tobytes() == want.tobytes()
+            in_place = phi(s, out=s)
+        assert got is y and in_place is s
+        assert y.tobytes() == fresh.tobytes() == s.tobytes() == want.tobytes()
 
     def test_exp2(self):
         with np.errstate(over="ignore"):
@@ -464,10 +466,12 @@ CHUNK_PHIS = {
 
 
 class TestChunking:
-    """`luxemburg_norm_max` evaluates f/lam a chunk at a time where the rows
-    hold more than `_CHUNK` doubles; the chunk size moves no bit: division,
-    Phi and its derivative are elementwise, and the modular and slope dots
-    run on whole rows."""
+    """Where the rows hold more than `_CHUNK` doubles, `luxemburg_norm_max`
+    evaluates Phi(f/lam) in place in its Phi workspace and recomputes the
+    slope row's f/lam a chunk at a time; the sizes below put rows on both
+    sides of that threshold, and the chunk size moves no bit: division, Phi
+    and its derivative are elementwise, and the modular and slope dots run
+    on whole rows."""
 
     SIZES = (8, 1000, ol._CHUNK, 1 << 30)
 

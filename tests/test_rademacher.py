@@ -115,8 +115,10 @@ class TestSumRearrangement:
                 sums = np.abs(enum_py(np.full(n, a)))
                 vals, counts = np.unique(sums, return_counts=True)
                 cum = np.concatenate(([0.0], np.cumsum(counts[::-1])))
-                direct = rd._atoms_to_step(vals[::-1], cum, 1 << n)
-                assert binom == direct
+                breaks, built = rd._atoms_to_rows(vals[::-1][None, :], cum, np.array([len(vals)]),
+                                                  1 << n)
+                assert built[0]
+                assert binom == sf.StepFunction(breaks[0], vals[::-1])
 
     def test_matches_rearranged_signed_sum(self, rng):
         for n in (1, 4, 8, 12):
@@ -308,7 +310,7 @@ class TestExactDistribution:
     def test_rejects_denominator_not_power_of_two(self):
         for bad in (0, 3, 12, 1 << 61):
             with pytest.raises(rd.RademacherError):
-                rd._atoms_to_step(np.array([1.0]), np.array([0.0, bad]), bad)
+                rd._atoms_to_rows(np.array([[1.0]]), np.array([0.0, bad]), np.array([1]), bad)
 
 
 class TestKernel:
@@ -336,15 +338,20 @@ class TestKernel:
     @pytest.mark.parametrize("shape", [(0,), (1,), (9,), (0, 3), (1, 3), (7, 4)])
     @pytest.mark.parametrize("exponent", [-5, 0, 5])
     def test_rows_are_left_to_right_sums(self, shape, exponent, rng):
-        # bitwise, in the order of the reference, for scalars and for rows
+        # bitwise, in the order of the reference, for scalars and for rows,
+        # into a new array or into `out`, the transpose of a C-ordered array
         coeffs = rng.normal(size=shape) * 10.0**exponent
         start = rng.normal(size=shape[1:]) * 10.0**exponent
+        size = (1 << shape[0], *shape[1:])
+        out = np.full(size[::-1], np.nan).T
         for got, want in (
             (enum_py(coeffs), signed_sums(coeffs, np.zeros(shape[1:]))),
             (enum_py(coeffs, start=start), signed_sums(coeffs, start)),
         ):
-            assert got.shape == (1 << shape[0], *shape[1:])
+            assert got.shape == size
             assert got.tobytes() == want.tobytes()
+        assert enum_py(coeffs, start=start, out=out) is out
+        assert out.tobytes() == want.tobytes()
 
 
 class TestNorms:
