@@ -16,7 +16,11 @@ search on the integer j, and the bracket is closed to 1e-12 relative. Where
 Phi comes with its derivative (every catalog Phi), Newton's method in
 mu = 1/lam closes it, in which the modular M(mu) = sum_i l_i Phi(mu |v_i|)
 is convex and increasing; bisection finishes the job and stands in wherever
-Newton cannot run. Each driver evaluates f/lam and Phi(f/lam) into
+Newton cannot run. Where s Phi'(s)/Phi(s) is non-decreasing (`exp2` and
+`power`, marked `log_convex`), log M is convex in log mu as well, and each
+Newton point is the larger of the tangent roots of M in mu and of log M in
+log mu; `hinge`, whose s Phi'/Phi decreases, and a custom Phi take the first
+alone. Each driver evaluates f/lam and Phi(f/lam) into
 workspaces that it reuses, through `OrliczFunction.__call__(s, out)`:
 `luxemburg_norm_rows` into two flat ones of its rows' cells, and
 `luxemburg_norm_max` into two of the rows' size where the rows fit in
@@ -75,7 +79,9 @@ class OrliczFunction:
     an inexact one costs evaluations, not accuracy. `p` is set by `power`
     alone: Phi is |s|^p, and the Luxemburg norm is the Lp norm. `takes_out`
     is set by the catalog constructors: `fn(s, out)` evaluates into `out`
-    (a new array where `out` is None), with the bits of `fn(s)`.
+    (a new array where `out` is None), with the bits of `fn(s)`. `log_convex`
+    is set by `exp_square` and `power`: s Phi'(s)/Phi(s) is non-decreasing, so
+    t -> Phi(e^t s) is log-convex, and Newton may step on log M.
     """
 
     fn: Callable[..., np.ndarray] = field(repr=False)
@@ -86,6 +92,7 @@ class OrliczFunction:
     )
     p: Optional[float] = field(default=None, init=False, repr=False)
     takes_out: bool = field(default=False, init=False, repr=False)
+    log_convex: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         _validate(self.fn, self.descriptor)
@@ -140,10 +147,11 @@ def _validate(fn, descriptor: str, tol: float = 1e-9) -> None:
         raise OrliczError(f"{descriptor}: bounded, Phi(inf) = {top}, expected inf")
 
 
-def _catalog(fn, descriptor: str, dphi) -> OrliczFunction:
+def _catalog(fn, descriptor: str, dphi, log_convex: bool = False) -> OrliczFunction:
     """A catalog Phi, whose body `fn(s, out=None)` evaluates into `out`."""
     phi = OrliczFunction(fn, descriptor, dphi)
     object.__setattr__(phi, "takes_out", True)
+    object.__setattr__(phi, "log_convex", log_convex)
     return phi
 
 
@@ -163,7 +171,7 @@ def _exp2_dphi(s, y):
 def exp_square() -> OrliczFunction:
     """Phi(s) = exp(s^2) - 1, the generator of the space G: one instance,
     which `spaces.fundamental_function` recognizes by identity."""
-    return _catalog(_exp2, "exp2", _exp2_dphi)
+    return _catalog(_exp2, "exp2", _exp2_dphi, log_convex=True)
 
 
 def power(p: float) -> OrliczFunction:
@@ -181,14 +189,14 @@ def power(p: float) -> OrliczFunction:
     def fn(s, out=None):
         return np.power(np.abs(s, out), p, out)
 
-    phi = _catalog(fn, f"power:{p:g}", dphi)
+    phi = _catalog(fn, f"power:{p:g}", dphi, log_convex=True)
     object.__setattr__(phi, "p", float(p))
     return phi
 
 
 def _without_p(phi: OrliczFunction) -> OrliczFunction:
     """phi without its exponent `p`, so that its Luxemburg norm takes the root
-    find; every other field is kept, `takes_out` included."""
+    find; every other field is kept, `takes_out` and `log_convex` included."""
     plain = copy.copy(phi)
     object.__setattr__(plain, "p", None)
     return plain
@@ -347,7 +355,7 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
             index = int(live[j])  # before the checks, which may prune `live`
             norm = _drive(_closed_form(float(norms[j])), max_modular)
         if norm is None:
-            norm = _drive(_find_root(top, phi.dphi is not None), max_modular)
+            norm = _drive(_find_root(top, phi.dphi is not None, phi.log_convex), max_modular)
             index = int(live[0])  # after the root find, which prunes `live`
     error = _overflow_error(norm, overflow)
     if error is not None:
@@ -392,7 +400,7 @@ def luxemburg_norm_rows(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunc
             closed = [None] * len(rows)
             if phi.p is not None:
                 closed = _lp_of_abs(np.abs(Vk), phi.p, lambda a: _row_dots(a, Lk)).tolist()
-            searches += [_row_search(lam, top, phi.dphi is not None)
+            searches += [_row_search(lam, top, phi.dphi is not None, phi.log_convex)
                          for lam, top in zip(closed, sup.tolist())]
             index += rows.tolist()
             ks += [k] * len(rows)
@@ -510,16 +518,16 @@ def _closed_form(lam: float):
     return None
 
 
-def _row_search(closed: Optional[float], top: float, newton: bool):
+def _row_search(closed: Optional[float], top: float, newton: bool, log_convex: bool):
     """Search: the norm of one row, the closed form `closed` where it is given
     and checks out, else the root find from top = ||f||_inf."""
     norm = None if closed is None else (yield from _closed_form(closed))
     if norm is None:
-        norm = yield from _find_root(top, newton)
+        norm = yield from _find_root(top, newton, log_convex)
     return norm
 
 
-def _find_root(lam: float, newton: bool):
+def _find_root(lam: float, newton: bool, log_convex: bool):
     """Search: the least lam, to BISECT_RTOL relative, with M(lam) <= 1, for
     a non-increasing modular M.
 
@@ -529,8 +537,8 @@ def _find_root(lam: float, newton: bool):
     modular <= 1 at the least positive double returns that double; one above
     1 at the largest double raises OrliczError. Then it closes the bracket:
     by Newton's method in mu = 1/lam when `newton` is set, which asks for
-    the slope too (see `_newton`), and by bisection. Returns the upper end of
-    the bracket.
+    the slope too (see `_newton`; `log_convex` as there), and by bisection.
+    Returns the upper end of the bracket.
     """
     tangents = {}  # lam -> (M(lam), slope) at the search's points
 
@@ -564,7 +572,7 @@ def _find_root(lam: float, newton: bool):
             far, far_x = mid, x
     lo, hi = (near_x, far_x) if up else (far_x, near_x)
     if newton:
-        lo, hi = yield from _newton(lo, hi, [(x, *tangents[x]) for x in (hi, lo)])
+        lo, hi = yield from _newton(lo, hi, [(x, *tangents[x]) for x in (hi, lo)], log_convex)
     for _ in range(MAX_BISECT_ITER):
         if hi - lo <= BISECT_RTOL * hi:
             break
@@ -600,22 +608,41 @@ def _bisections(lo: float, hi: float) -> int:
     return math.ceil(math.log2(hi - lo) - math.log2(lo) - math.log2(BISECT_RTOL))
 
 
-def _tangent_root(x: float, m: float, d: float) -> float:
+def _tangent_root(x: float, m: float, d: float, log_convex: bool) -> float:
     """The lam where the tangent of M(mu) at mu = 1/x meets 1, from M = m and
     d = mu dM/dmu; nan where there is none, as where the tangent is flat
-    (d = 0). For convex M it is at most the norm, from either side."""
+    (d = 0). For convex M it is at most the norm, from either side.
+
+    For a `log_convex` Phi, log M is convex in log mu too (each term
+    t -> Phi(e^t |v_i|) is log-convex, and so is their sum), and the tangent
+    of log M meets 0 at lam = x exp(m log m / d), also at most the norm: the
+    larger of the two roots is returned. Where m <= 0, or that root is not a
+    positive double, the first root alone counts."""
+    root = math.nan
     den = d - (m - 1.0)  # mu' = mu - (m - 1) / (dM/dmu), so lam' = x d / den
-    if math.isfinite(m) and math.isfinite(d) and d > 0.0 and den > 0.0:
-        return x * (d / den)
-    return math.nan
+    if math.isfinite(m) and math.isfinite(d) and d > 0.0:
+        if den > 0.0:
+            root = x * (d / den)
+        if log_convex and m > 0.0:
+            try:
+                r = x * math.exp(m * math.log(m) / d)
+            except OverflowError:
+                r = math.inf
+            if 0.0 < r < math.inf and (math.isnan(root) or r > root):
+                root = r
+    return root
 
 
-def _newton(lo: float, hi: float, starts):
+def _newton(lo: float, hi: float, starts, log_convex: bool):
     """Search: the bracket [lo, hi] shrunk by safeguarded Newton steps in
     mu = 1/lam.
 
     M(mu) is convex and increasing, so the tangent at any point meets 1 at
-    a lam below the norm. Newton starts from the higher of the tangent
+    a lam below the norm. For a `log_convex` Phi, a point's tangent root is
+    the larger of that one and the root of the tangent of log M in log mu
+    (`_tangent_root`): that one is exact for a power Phi, and it does not
+    crawl where M is large at lo, where the tangent of M in mu moves lam by
+    a few percent a step. Newton starts from the higher of the tangent
     roots of `starts`, (lam, M, slope) at lo and hi, and the points rise
     to the norm quadratically. Where neither has a tangent root (a modular
     or slope that is not finite, or a flat tangent), the bracket is bisected
@@ -663,11 +690,11 @@ def _newton(lo: float, hi: float, starts):
     def tangent(p):  # evaluate with the slope at p; the tangent root there
         m, d = yield p, True
         move(p, m)
-        return _tangent_root(p, m, d)
+        return _tangent_root(p, m, d, log_convex)
 
     g = x = math.nan
     for t in starts:  # hi first, so that a tie goes to the nearer point
-        r = _tangent_root(*t)
+        r = _tangent_root(*t, log_convex)
         if math.isnan(g) or r > g:
             g, x = r, t[0]
     while math.isnan(g) and hi - lo > BISECT_RTOL * hi:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (batch_functions, bits, hinge_norm_exact, linear_combination, signed_sums,
@@ -610,7 +610,7 @@ def _counting(phi, dphi):
     """(Phi, calls): `phi` with a count of its evaluations in calls[0] and of
     the elements they took in calls[1], and `dphi` as its derivative (None:
     a custom Phi). It passes `out` on to phi, so a catalog body still
-    evaluates in place, as in the solver."""
+    evaluates in place, as in the solver, and keeps phi's `log_convex`."""
     calls = [0, 0]
 
     def fn(s, out=None):
@@ -619,7 +619,9 @@ def _counting(phi, dphi):
         return phi(s, out)
 
     counted = ol.OrliczFunction(fn, phi.descriptor, dphi)
-    object.__setattr__(counted, "takes_out", True)  # as the catalog constructors record it
+    # as the catalog constructors record them
+    object.__setattr__(counted, "takes_out", True)
+    object.__setattr__(counted, "log_convex", phi.log_convex)
     calls[:] = [0, 0]  # not the validation's evaluations
     return counted, calls
 
@@ -730,6 +732,110 @@ class TestNewtonSolver:
             assert abs(norm - want) <= 1e-12 * want
             assert (base(S / norm) @ dl).max() <= 1.0
             assert _close(_bisection_norm(sf.StepFunction(breaks, S[i]), base), want)
+
+
+def _counting_searches(monkeypatch) -> list:
+    """Wrap `orlicz._find_root` (by a `pytest.MonkeyPatch`) so that every
+    search, in either driver, appends to the returned list the number of
+    modular evaluations it took."""
+    counts = []
+    find_root = ol._find_root
+
+    def counted(*args):
+        search, n = find_root(*args), 0
+        try:
+            request = next(search)
+            while True:
+                answer = yield request
+                n += 1
+                request = search.send(answer)
+        except StopIteration as stop:
+            return stop.value
+        finally:
+            counts.append(n)
+
+    monkeypatch.setattr(ol, "_find_root", counted)
+    return counts
+
+
+@st.composite
+def suite_functions(draw):
+    """A function drawn as the suites whose norms take the root find draw
+    theirs: a spiky `random_step_function`, an indicator, or the
+    rearrangement of a Rademacher sum with n <= 14 equal or random unit
+    coefficients."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["step", "indicator", "equal", "random"]))
+    if kind == "step":
+        return ex.random_step_function(rng)
+    if kind == "indicator":
+        return ex.random_indicator_function(rng)
+    n = draw(st.integers(1, 14))
+    return sum_rearrangement([1.0] * n if kind == "equal" else ex._random_unit_vector(rng, n))
+
+
+# log-convex Phi whose norms take the root find (a power Phi without its p)
+LOG_CONVEX = {"exp2": ol.exp_square(), **{f"power:{p:g}": ol._without_p(ol.power(p))
+                                         for p in (1.0, 2.0, 3.5)}}
+# the searches that crawled before Newton stepped on log M: 46 and 46-47
+# evaluations, where the others took 5-13
+CRAWLS = (sum_rearrangement([1.0] * 20),
+          sf.step_function([0.0, 0.9665911778573795, 0.96696138189548, 1.0], [0.0, 1.0, 0.0]))
+
+
+class TestLogTangent:
+    """Newton's points for a log-convex Phi: the larger of the tangent roots
+    of M in mu and of log M in log mu."""
+
+    def test_only_exp2_and_power_are_marked(self):
+        assert ol.exp_square().log_convex and ol.power(2.0).log_convex
+        assert ol._without_p(ol.power(3.5)).log_convex
+        assert not ol.hinge(1.0).log_convex  # s Phi'/Phi = s / (s - a) falls
+        assert not ol.custom_orlicz(lambda s: s * s, "square").log_convex
+
+    @pytest.mark.parametrize("desc", sorted(LOG_CONVEX))
+    @given(f=step_functions(), c=st.floats(-12.0, 12.0))
+    @settings(max_examples=60, deadline=None)
+    def test_log_root_is_at_most_the_norm(self, desc, f, c):
+        phi = LOG_CONVEX[desc]
+        norm = ol.luxemburg_norm(f, phi)
+        assume(norm > 0.0)
+        lam = norm * 2.0 ** c
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = f.values / lam
+            m = float(phi(s) @ f.lengths)
+            d = float(ol._slope(phi, s, phi(s), f.lengths, np.dot))
+        root = ol._tangent_root(lam, m, d, True)
+        plain = ol._tangent_root(lam, m, d, False)
+        assert math.isnan(root) or root <= norm * (1.0 + 1e-12)
+        assert math.isnan(plain) or root >= plain
+
+    @pytest.mark.parametrize("desc", sorted(LOG_CONVEX))
+    @given(fs=st.lists(suite_functions(), min_size=1, max_size=5))
+    @example(fs=list(CRAWLS))
+    @settings(max_examples=30, deadline=None)
+    def test_norms_against_bisection(self, desc, fs):
+        # both drivers: each norm within 1e-12 of plain bisection, the
+        # modular <= 1 there, and no search takes 30 evaluations
+        phi = LOG_CONVEX[desc]
+        rows = sf.StepRows.stack(fs)
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _counting_searches(mp)
+            norms = [ol.luxemburg_norm(f, phi) for f in fs]
+            assert ol.luxemburg_norm_rows(rows.values, rows.lengths, phi).tolist() == norms
+        assert max(counts) < 30
+        for f, norm in zip(fs, norms):
+            assert _close(norm, _bisection_norm(f, phi), 1e-12)
+            assert ol.modular(f, phi, norm) <= 1.0
+
+    def test_no_default_search_takes_30_evaluations(self, monkeypatch):
+        counts = _counting_searches(monkeypatch)
+        most = {}
+        for name in ex.SUITES:
+            counts.clear()
+            ex.run_suite(name)
+            most[name] = max(counts, default=0)
+        assert max(most.values()) < 30, most
 
 
 class TestExactOracles:

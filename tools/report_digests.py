@@ -6,16 +6,20 @@
 Runs `python -m rispaces verify <suite>` for every suite the checkout
 registers (`rispaces.experiments.SUITES`), one at a time, with the
 checkout's `src/` first on PYTHONPATH, and prints each suite's exit code and
-the SHA-256 of its JSON report. With two checkouts it then names the suites
-whose report bytes or exit codes differ, a suite that only one checkout has
-among them. Exits 0 when every run exited 0 and no suite differs, else 1.
-Standard library only.
+the SHA-256 of its JSON report. With one checkout it ends with the JSON
+object that `tests/report_digests.json` holds: the digests and the numpy,
+Python and platform they were recorded with, so that a deliberate move of
+report bytes is recorded from this output. With two checkouts it then names
+the suites whose report bytes or exit codes differ, a suite that only one
+checkout has among them. Exits 0 when every run exited 0 and no suite
+differs, else 1. Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +43,12 @@ def suites(checkout: Path) -> list[str]:
     return listing.stdout.decode().split()
 
 
+# what `tests/report_digests.json` records as "recorded_with"
+_ENVIRONMENT = """import json, platform, numpy
+print(json.dumps({"numpy": numpy.__version__, "python": platform.python_version(),
+                  "platform": " ".join([platform.system(), platform.machine(), *platform.libc_ver()])}))"""
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", type=Path,
@@ -56,6 +66,10 @@ def main(argv=None) -> int:
                 report.returncode, hashlib.sha256(report.stdout).hexdigest())
             print(f"  {suite:<14} exit {code}  {sha}", flush=True)
     ok = all(code == 0 for code, _ in results.values())
+    if len(checkouts) == 1:
+        recorded_with = json.loads(run(checkouts[0].resolve(), "-c", _ENVIRONMENT).stdout)
+        digests = {suite: sha for (_, suite), (_, sha) in results.items()}
+        print(json.dumps({"recorded_with": recorded_with, "sha256": digests}, indent=2))
     if len(checkouts) == 2:
         old, new = checkouts
         names = dict.fromkeys(s for _, s in results)  # in first-seen order
