@@ -1,12 +1,12 @@
 """Orlicz functions, the convex modular, and the Luxemburg norm.
 
 The Luxemburg norm of f is inf{lam > 0 : integral Phi(f/lam) <= 1}. One
-solver computes it. Its search is written once, as a generator that asks for
-the modular at the lam it chooses and is sent the value, so it runs under
-two drivers: `luxemburg_norm_max` runs one search on the largest modular
-among rows of values on one partition (`luxemburg_norm` is its one-row
-case), and `luxemburg_norm_rows` runs one search per row of a padded batch,
-in lock-step, evaluating every pending row in one pass of Phi per round.
+solver computes it: one search per norm, `_row_search`, a generator that
+asks for the modular at the lam it chooses and is sent the value. Both
+drivers run it: `luxemburg_norm_max` runs one on the largest modular among
+rows of values on one partition (`luxemburg_norm` is its one-row case), and
+`luxemburg_norm_rows` runs one per row of a padded batch, in lock-step,
+evaluating every pending row in one pass of Phi per round.
 For Phi(s) = |s|^p the modular is lam^(-p) integral |f|^p, so the norm is
 the Lp norm: the search takes it in closed form and only checks the modular
 there. Otherwise it brackets: the modular is continuous and
@@ -238,7 +238,7 @@ def parse_orlicz(descriptor: str) -> OrliczFunction:
 
 def modular(f: StepFunction, phi: OrliczFunction, lam: float) -> float:
     """Integral of Phi(f/lam) over (0, 1]; non-increasing in lam."""
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise OrliczError(f"lam must be positive, got {lam}")
     return float(np.dot(phi(f.values / lam), f.lengths))
 
@@ -314,49 +314,48 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
     live = (sup > 0.0).nonzero()[0]  # rows that may still hold the largest norm
     rows = values if len(live) == len(values) else values[live]
     overflow = 0.0  # the largest lam at which the largest modular read inf
-    # rows / lam and Phi of it, made at the first evaluation; s is 2-d where
-    # the rows fit in one chunk, else one chunk of a row
-    s = y = None
-
-    def max_modular(lam, slope=False):
-        nonlocal live, rows, overflow, s, y
-        if y is None:
-            y = np.empty_like(rows)
-            s = np.empty_like(rows) if rows.size <= _CHUNK else np.empty(min(rows.shape[1], _CHUNK))
-        m = phi(np.divide(rows, lam, s if s.ndim == 2 else y), y) @ lengths
-        i = m.argmax()
-        largest = float(m[i])
-        if largest == math.inf:
-            overflow = max(overflow, lam)
-        result = largest
-        if slope and s.ndim == 2:
-            result = largest, float(_slope(phi, s[i], y[i], lengths, np.dot))
-        elif slope:  # rows[i] / lam again, a chunk at a time, for the terms of `_slope`
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(0, rows.shape[1], len(s)):
-                    v, out = rows[i, j : j + len(s)], y[i, j : j + len(s)]
-                    f = np.divide(v, lam, s[: len(v)])
-                    np.multiply(phi.dphi(f, out), f, out=out)
-                result = largest, float(np.dot(y[i], lengths))
-        if largest > 1.0 and len(live) > 1:  # a lone row is the largest
-            keep = m > 1.0
-            if not keep.all():
-                live, rows = live[keep], rows[keep]
-                y = y[: len(rows)]  # the surviving rows lead
-                if s.ndim == 2:
-                    s = s[: len(rows)]
-        return result
-
     with np.errstate(over="ignore"):
-        norm = None
+        closed = None
         if phi.p is not None:
             norms = lp_norm_rows(rows, lengths, phi.p)
             j = int(norms.argmax())
-            index = int(live[j])  # before the checks, which may prune `live`
-            norm = _drive(_closed_form(float(norms[j])), max_modular)
-        if norm is None:
-            norm = _drive(_find_root(top, phi.dphi is not None, phi.log_convex), max_modular)
-            index = int(live[0])  # after the root find, which prunes `live`
+            closed, index = float(norms[j]), int(live[j])  # before the checks prune `live`
+        # rows / lam and Phi of it; s is 2-d where the rows fit in one chunk,
+        # else one chunk of a row
+        y = np.empty_like(rows)
+        s = np.empty_like(rows) if rows.size <= _CHUNK else np.empty(min(rows.shape[1], _CHUNK))
+        search = _row_search(closed, top, phi.dphi is not None, phi.log_convex)
+        lam, slope = next(search)
+        while True:
+            m = phi(np.divide(rows, lam, s if s.ndim == 2 else y), y) @ lengths
+            i = m.argmax()
+            largest = float(m[i])
+            if largest == math.inf:
+                overflow = max(overflow, lam)
+            answer = largest
+            if slope and s.ndim == 2:
+                answer = largest, float(_slope(phi, s[i], y[i], lengths, np.dot))
+            elif slope:  # rows[i] / lam again, a chunk at a time, for the terms of `_slope`
+                with np.errstate(invalid="ignore"):
+                    for j in range(0, rows.shape[1], len(s)):
+                        v, out = rows[i, j : j + len(s)], y[i, j : j + len(s)]
+                        f = np.divide(v, lam, s[: len(v)])
+                        np.multiply(phi.dphi(f, out), f, out=out)
+                    answer = largest, float(np.dot(y[i], lengths))
+            if largest > 1.0 and len(live) > 1:  # a lone row is the largest
+                keep = m > 1.0
+                if not keep.all():
+                    live, rows = live[keep], rows[keep]
+                    y = y[: len(rows)]  # the surviving rows lead
+                    if s.ndim == 2:
+                        s = s[: len(rows)]
+            try:
+                lam, slope = search.send(answer)
+            except StopIteration as stop:
+                norm, held = stop.value
+                break
+    if not held:
+        index = int(live[0])  # after the root find, which prunes `live`
     error = _overflow_error(norm, overflow)
     if error is not None:
         raise error
@@ -461,8 +460,8 @@ class _Lockstep:
                 self.requests[i] = self.searches[i].send((m, slopes[i]) if slope else m)
                 keep.append(i)
             except StopIteration as stop:
-                norms[self.index[i]] = stop.value
-                error = _overflow_error(stop.value, self.overflow[i])
+                norms[self.index[i]] = norm = stop.value[0]
+                error = _overflow_error(norm, self.overflow[i])
                 if error is not None:
                     errors[self.index[i]] = error
             except OrliczError as error:
@@ -480,8 +479,6 @@ class _Lockstep:
         return bool(keep)
 
 
-
-
 def _overflow_error(norm: float, overflow: float) -> Optional[OrliczError]:
     """The error for a root at most the largest lam at which the modular read
     inf: that root is the overflow threshold, not the norm. None otherwise."""
@@ -492,18 +489,9 @@ def _overflow_error(norm: float, overflow: float) -> Optional[OrliczError]:
 
 # A search is a generator: it yields (lam, slope) where it needs the modular
 # M(lam), and is sent M(lam), or (M(lam), its slope) when slope is set (see
-# `_newton`); it returns what it found. `_drive` runs one search against a
-# function, and `luxemburg_norm_rows` runs one per row in lock-step.
-
-
-def _drive(search, mod):
-    """What `search` returns when mod(lam, slope) answers its requests."""
-    try:
-        request = next(search)
-        while True:
-            request = search.send(mod(*request))
-    except StopIteration as stop:
-        return stop.value
+# `_newton`); it returns what it found. Each norm is one `_row_search`:
+# `luxemburg_norm_max` runs it in a loop against the largest modular of its
+# rows, and `_Lockstep` runs one per row of `luxemburg_norm_rows`.
 
 
 def _closed_form(lam: float):
@@ -519,12 +507,13 @@ def _closed_form(lam: float):
 
 
 def _row_search(closed: Optional[float], top: float, newton: bool, log_convex: bool):
-    """Search: the norm of one row, the closed form `closed` where it is given
-    and checks out, else the root find from top = ||f||_inf."""
+    """Search: (norm, held) for one norm. The norm is the closed form `closed`
+    where it is given and checks out, and then held is True; else it is the
+    root find's from top = ||f||_inf, and held is False."""
     norm = None if closed is None else (yield from _closed_form(closed))
-    if norm is None:
-        norm = yield from _find_root(top, newton, log_convex)
-    return norm
+    if norm is not None:
+        return norm, True
+    return (yield from _find_root(top, newton, log_convex)), False
 
 
 def _find_root(lam: float, newton: bool, log_convex: bool):
@@ -700,6 +689,8 @@ def _newton(lo: float, hi: float, starts, log_convex: bool):
     while math.isnan(g) and hi - lo > BISECT_RTOL * hi:
         # no tangent meets 1 yet: bisect, with the slope, until one does
         x = _midpoint(lo, hi)
+        if not lo < x < hi:  # adjacent subnormals, where the test above reads 0
+            break
         g = yield from tangent(x)
     prev = 0.0  # the previous step, none yet
     while math.isfinite(g):

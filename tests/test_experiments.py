@@ -270,6 +270,12 @@ class TestDerandomization:
         signs = ex.derandomized_signs([x, -x], ol.power(2.0), 1.0)
         assert signs in ((1, -1), (-1, 1))
 
+    @pytest.mark.parametrize("lam", [math.nan, 0.0, -0.0, -1.0])
+    def test_rejects_nan_and_nonpositive_lam(self, lam):
+        xs = [sf.constant(1.0), sf.indicator(0.5), sf.constant(-2.0), sf.indicator(0.25)]
+        with pytest.raises(ex.ExperimentError, match="lam must be positive"):
+            ex.derandomized_signs(xs, ol.exp_square(), lam)
+
     def test_first_sign_is_plus(self, rng):
         for desc in ex._SIGN_PHIS:
             phi = ol.parse_orlicz(desc)
@@ -591,3 +597,41 @@ class TestSuitesSmoke:
         a = ex.sign_selection_report(trials=8, n_max=4, seed=1).to_json()
         b = ex.sign_selection_report(trials=8, n_max=4, seed=2).to_json()
         assert a != b
+
+
+# the scale-free suites at smaller parameters, and the row fields that scale
+# with the data: each suite's margins and the norms they are taken from
+_SCALED_SUITES = {
+    "sign": (lambda: ex.sign_selection_report(trials=300), ("lhs", "rhs", "margin")),
+    "envelope": (ex.envelope_lemma_check, ("min_domination_margin",)),
+    "g1chain": (lambda: ex.g1_chain_check(trials=300), ("max_violation",)),
+    "hinge": (lambda: ex.hinge_sandwich_report(trials=300), ("lower", "upper", "norm")),
+}
+
+
+class TestScaleFreeVerdicts:
+    """A suite's verdicts do not depend on the scale of its data: with every
+    `random_step_function` scaled by 2^k, each suite keeps its `pass` bits,
+    and each margin scales by exactly 2^k (every norm kind is bitwise
+    2^k-covariant, and each slack is relative to the norms compared)."""
+
+    @pytest.mark.parametrize("suite", sorted(_SCALED_SUITES))
+    def test_pass_bits_kept_and_margins_scaled(self, suite, monkeypatch):
+        run, fields = _SCALED_SUITES[suite]
+        base = run()
+        draw = ex.random_step_function
+        for k in (-600, -40, 40):
+            def scaled(rng, max_plateaus=10, k=k):
+                f = draw(rng, max_plateaus)
+                return sf.StepFunction(f.breakpoints, np.ldexp(f.values, k))
+
+            monkeypatch.setattr(ex, "random_step_function", scaled)
+            rep = run()
+            assert rep.summary["pass"] == base.summary["pass"], k
+            assert len(rep.rows) == len(base.rows)
+            for row, want in zip(rep.rows, base.rows):
+                for key in ("pass", "chain_ok"):
+                    assert row.get(key) == want.get(key), (k, key, want)
+                for key in fields:
+                    if key in want:
+                        assert row[key] == math.ldexp(want[key], k), (k, key, want)

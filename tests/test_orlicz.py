@@ -136,6 +136,11 @@ class TestModular:
         with pytest.raises(ol.OrliczError):
             ol.modular(sf.constant(1.0), ol.power(2.0), 0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, 0.0, -0.0, -1.0])
+    def test_rejects_nan_and_nonpositive_lam(self, lam):
+        with pytest.raises(ol.OrliczError, match="lam must be positive"):
+            ol.modular(sf.constant(1.0), ol.exp_square(), lam)
+
     def test_monotone_in_lam(self, rng):
         phi = ol.exp_square()
         f = sf.step_function([0, 0.3, 1], [2.0, 0.5])
@@ -396,6 +401,44 @@ class TestLuxemburgNormRows:
             assert bits(ol.luxemburg_norm_rows(rows.values, rows.lengths, phi)) == bits(want)
 
 
+class TestDriverSelection:
+    """`luxemburg_norm_rows` sends a one-row batch to `luxemburg_norm_max`,
+    small or above `_CHUNK`, and two or more rows to one `_Lockstep`: a
+    lock-step of one row took 1.5-2.5x as long per norm."""
+
+    @staticmethod
+    def _count_drivers(monkeypatch) -> dict:
+        calls = {"max": 0, "lockstep": 0}
+        max_driver = ol.luxemburg_norm_max
+
+        def counted_max(*args):
+            calls["max"] += 1
+            return max_driver(*args)
+
+        class CountedLockstep(ol._Lockstep):
+            def __init__(self, *args):
+                calls["lockstep"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(ol, "luxemburg_norm_max", counted_max)
+        monkeypatch.setattr(ol, "_Lockstep", CountedLockstep)
+        return calls
+
+    @pytest.mark.parametrize("desc", ["exp2", "power:2"])
+    @pytest.mark.parametrize("ks", [(5,), (ol._CHUNK + 3,), (5, 3), (ol._CHUNK + 3, 7, 5)])
+    def test_driver_by_row_count(self, desc, ks, monkeypatch):
+        phi = ol.parse_orlicz(desc)
+        rng = np.random.default_rng(len(ks))
+        fs = [sf.StepFunction(np.linspace(0.0, 1.0, k + 1), rng.standard_normal(k)) for k in ks]
+        want = [ol.luxemburg_norm(f, phi) for f in fs]
+        calls = self._count_drivers(monkeypatch)
+        rows = sf.StepRows.stack(fs)
+        norms = ol.luxemburg_norm_rows(rows.values, rows.lengths, phi)
+        one_row = len(fs) == 1
+        assert calls == {"max": int(one_row), "lockstep": int(not one_row)}
+        assert bits(norms) == bits(want)
+
+
 class TestLockstepRounds:
     """`luxemburg_norm_rows` evaluates Phi once per lock-step round, over the
     cells of every pending row, whatever their piece counts."""
@@ -605,6 +648,17 @@ class TestTinyNorms:
         assert ol.modular(f, base, norm) <= 1.0
         assert calls[0] <= 30
 
+    def test_no_tangent_between_adjacent_subnormals(self):
+        # the norm, 9.1e-324, lies between the two least doubles, where the
+        # modular reads inf and 0: neither has a tangent root, and no double
+        # lies between them to bisect at (this search once never ended)
+        f, phi = sf.constant(-9.118988472175147e-16), ol.hinge(1e308)
+        assert ol.luxemburg_norm(f, phi) == 1e-323
+        rows = ol.luxemburg_norm_rows(np.array([f.values, [1.0]]), np.ones((2, 1)), phi)
+        assert rows.tolist() == [1e-323, ol.luxemburg_norm(sf.constant(1.0), phi)]
+        with np.errstate(over="ignore"):
+            assert ol.modular(f, phi, 5e-324) > 1.0 >= ol.modular(f, phi, 1e-323)
+
 
 def _counting(phi, dphi):
     """(Phi, calls): `phi` with a count of its evaluations in calls[0] and of
@@ -795,12 +849,14 @@ class TestLogTangent:
 
     @pytest.mark.parametrize("desc", sorted(LOG_CONVEX))
     @given(f=step_functions(), c=st.floats(-12.0, 12.0))
+    # a norm of the least double, where norm 2^c rounds to lam = 0
+    @example(f=sf.constant(5e-324), c=-1.0)
     @settings(max_examples=60, deadline=None)
     def test_log_root_is_at_most_the_norm(self, desc, f, c):
         phi = LOG_CONVEX[desc]
         norm = ol.luxemburg_norm(f, phi)
-        assume(norm > 0.0)
         lam = norm * 2.0 ** c
+        assume(lam > 0.0)  # the tangent is taken at a positive double
         with np.errstate(over="ignore", invalid="ignore"):
             s = f.values / lam
             m = float(phi(s) @ f.lengths)
