@@ -25,8 +25,13 @@ workspaces that it reuses, through `OrliczFunction.__call__(s, out)`:
 `luxemburg_norm_rows` into two flat ones of its rows' cells, and
 `luxemburg_norm_max` into two of the rows' size where the rows fit in
 `_CHUNK` doubles; where they hold more, it divides them straight into the
-Phi workspace and evaluates Phi there in place, and keeps only one chunk of
-the largest row's f/lam, for the slope.
+Phi workspace and evaluates Phi there in place, and a slope divides the max
+row again. Rows of more than `stepfn._BLOCK` cells it evaluates in one pass
+per search point, a chunk at a time, the slope terms from the same f/lam.
+Every modular and slope is a row dot, `stepfn._row_dots`: above `_BLOCK`
+cells the dots of its blocks, added left to right, since OpenBLAS spreads a
+dot of more than 10,000 cells over its threads and its bits then depend on
+how many there are.
 """
 
 from __future__ import annotations
@@ -34,12 +39,13 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .stepfn import StepFunction, _descriptor_number, _lp_of_abs, lp_norm_rows
+from .stepfn import (_BLOCK, StepFunction, _add_block_dots, _descriptor_number, _lp_of_abs,
+                     _row_dots, _sup_rows, lp_norm_rows)
 
 __all__ = [
     "OrliczFunction",
@@ -101,7 +107,7 @@ class OrliczFunction:
         """Phi(s), evaluated into `out` where given: a float64 array of the
         shape of s, which may be s itself. Without `takes_out`, fn(s) is a
         new array that is copied into it, so in `luxemburg_norm_max` above a
-        chunk its temporary has the rows' size."""
+        chunk of short rows its temporary has the rows' size."""
         s = np.asarray(s, dtype=np.float64)
         if self.takes_out:
             return self.fn(s, out)
@@ -237,34 +243,30 @@ def parse_orlicz(descriptor: str) -> OrliczFunction:
 
 
 def modular(f: StepFunction, phi: OrliczFunction, lam: float) -> float:
-    """Integral of Phi(f/lam) over (0, 1]; non-increasing in lam."""
+    """Integral of Phi(f/lam) over (0, 1], the row dot `stepfn._row_dots` (in
+    blocks of `_BLOCK` cells above that many); non-increasing in lam."""
     if not lam > 0.0:
         raise OrliczError(f"lam must be positive, got {lam}")
-    return float(np.dot(phi(f.values / lam), f.lengths))
+    return float(_row_dots(phi(f.values / lam), f.lengths))
 
 
 def _slope(phi: OrliczFunction, s: np.ndarray, y: np.ndarray, lengths: np.ndarray, dot):
     """dot(s Phi'(s), lengths), the sum of l_i s_i Phi'(s_i), for s = v/lam and
-    y = Phi(s): mu times dM/dmu at mu = 1/lam. `dot` is np.dot for one row
-    and `_row_dots` for rows; y is overwritten. Overflow gives inf or nan,
-    which the solver reads as "no Newton step"."""
+    y = Phi(s): mu times dM/dmu at mu = 1/lam. `dot` is `_row_dots`, or for a
+    chunk of a long row `_add_block_dots` from the sum so far; y is
+    overwritten. Overflow gives inf or nan, which the solver reads as "no
+    Newton step"."""
     with np.errstate(over="ignore", invalid="ignore"):
         d = phi.dphi(s, y)
         d *= s
         return dot(d, lengths)
 
 
-# rows of at most this many doubles (128 KiB, which stays in a 2 MiB L2 cache)
-# keep their f/lam in `luxemburg_norm_max` for the slope; larger ones keep one
-# chunk of the largest row's
+# tables of at most this many doubles (128 KiB, which stays in a 2 MiB L2
+# cache) keep their f/lam in `luxemburg_norm_max` for the slope, and larger
+# ones of rows of at most `_BLOCK` cells divide the max row again; longer rows
+# are evaluated this many cells at a time, in whole blocks (one at least)
 _CHUNK = 1 << 14
-
-
-def _row_dots(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The dot of each row of x with the same row of lengths, each by the
-    BLAS dot of a one-row `x @ l`, bit for bit. (Over padding cells the dot
-    would sum in another order.)"""
-    return np.matmul(x[:, None, :], lengths[:, :, None])[:, 0, 0]
 
 
 def luxemburg_norm(f: StepFunction, phi: OrliczFunction) -> float:
@@ -300,14 +302,20 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
     1/DBL_MAX), the root found is the overflow threshold, not the norm, and
     OrliczError is raised.
 
-    Phi(rows / lam) goes into one workspace of the rows' size. Where the
-    rows hold more than `_CHUNK` doubles, rows / lam is divided into that
-    workspace and Phi is taken in place, and a slope divides the largest
-    row again, a chunk at a time; smaller rows keep rows / lam for it.
+    Rows of at most `_BLOCK` cells: Phi(rows / lam) goes into one workspace
+    of the rows' size, and the modulars are one gemv. Where the rows fit in
+    `_CHUNK` doubles, rows / lam goes into a second one, which the slope
+    reuses; else it is divided into the Phi workspace, Phi is taken in
+    place, and a slope divides the max row again into a workspace of one
+    row. Longer rows take one pass each per search point (`_chunked_pass`),
+    with two workspaces of one chunk, and ||f||_inf from their max and min,
+    with no temporary of their size: every sum is that of `modular`, block
+    dots added left to right, whose bits do not depend on the BLAS threads.
     """
     values = np.asarray(values, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.float64)
-    sup = np.abs(values).max(axis=1)
+    long = values.shape[1] > _BLOCK
+    sup = _sup_rows(values) if long else np.abs(values).max(axis=1)
     top = float(sup.max())
     if top == 0.0:
         return 0, 0.0
@@ -320,35 +328,35 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
             norms = lp_norm_rows(rows, lengths, phi.p)
             j = int(norms.argmax())
             closed, index = float(norms[j]), int(live[j])  # before the checks prune `live`
-        # rows / lam and Phi of it; s is 2-d where the rows fit in one chunk,
-        # else one chunk of a row
-        y = np.empty_like(rows)
-        s = np.empty_like(rows) if rows.size <= _CHUNK else np.empty(min(rows.shape[1], _CHUNK))
+        if long:  # f/lam and Phi of it, one chunk of whole blocks each
+            size = min(max(_CHUNK // _BLOCK, 1) * _BLOCK, rows.shape[1])
+            s, y = np.empty(size), np.empty(size)
+        else:  # Phi(rows / lam); rows / lam too where they fit in one chunk, else one row of it
+            y = np.empty_like(rows)
+            s = np.empty_like(rows) if rows.size <= _CHUNK else np.empty(rows.shape[1])
         search = _row_search(closed, top, phi.dphi is not None, phi.log_convex)
         lam, slope = next(search)
         while True:
-            m = phi(np.divide(rows, lam, s if s.ndim == 2 else y), y) @ lengths
+            n = len(rows)
+            if long:
+                m, slopes = _chunked_pass(phi, rows, lengths, lam, slope, s, y)
+            else:
+                f = np.divide(rows, lam, s[:n] if s.ndim == 2 else y[:n])
+                m = _row_dots(phi(f, y[:n]), lengths)
             i = m.argmax()
             largest = float(m[i])
             if largest == math.inf:
                 overflow = max(overflow, lam)
             answer = largest
-            if slope and s.ndim == 2:
-                answer = largest, float(_slope(phi, s[i], y[i], lengths, np.dot))
-            elif slope:  # rows[i] / lam again, a chunk at a time, for the terms of `_slope`
-                with np.errstate(invalid="ignore"):
-                    for j in range(0, rows.shape[1], len(s)):
-                        v, out = rows[i, j : j + len(s)], y[i, j : j + len(s)]
-                        f = np.divide(v, lam, s[: len(v)])
-                        np.multiply(phi.dphi(f, out), f, out=out)
-                    answer = largest, float(np.dot(y[i], lengths))
-            if largest > 1.0 and len(live) > 1:  # a lone row is the largest
+            if slope and long:
+                answer = largest, float(slopes[i])
+            elif slope:
+                f = s[i] if s.ndim == 2 else np.divide(rows[i], lam, s)
+                answer = largest, float(_slope(phi, f, y[i], lengths, _row_dots))
+            if largest > 1.0 and n > 1:  # a lone row is the largest
                 keep = m > 1.0
-                if not keep.all():
+                if not keep.all():  # the surviving rows lead the workspaces
                     live, rows = live[keep], rows[keep]
-                    y = y[: len(rows)]  # the surviving rows lead
-                    if s.ndim == 2:
-                        s = s[: len(rows)]
             try:
                 lam, slope = search.send(answer)
             except StopIteration as stop:
@@ -360,6 +368,30 @@ def luxemburg_norm_max(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunct
     if error is not None:
         raise error
     return index, norm
+
+
+def _chunked_pass(phi, rows, lengths, lam, slope, s, y):
+    """(modulars, slopes) at lam of rows of more than `_BLOCK` cells, slopes
+    None unless `slope` is set: one pass over each row, len(s) cells (whole
+    blocks) at a time. f/lam goes into s and Phi of it into y, and the slope
+    terms follow from the same f/lam, over y. Each sum adds the block dots of
+    a chunk to those of the chunks before it (`_add_block_dots`), so it has
+    the bits of `modular` and of `_slope` on the whole row."""
+    modulars = np.empty(len(rows))
+    slopes = np.empty(len(rows)) if slope else None
+    for r, row in enumerate(rows):
+        total = terms = 0.0
+        for j in range(0, len(row), len(s)):
+            v, dl = row[j : j + len(s)], lengths[j : j + len(s)]
+            f = np.divide(v, lam, s[: len(v)])
+            t = phi(f, y[: len(v)])
+            total = _add_block_dots(total, t, dl)
+            if slope:
+                terms = _slope(phi, f, t, dl, partial(_add_block_dots, terms))
+        modulars[r] = total
+        if slope:
+            slopes[r] = terms
+    return modulars, slopes
 
 
 def luxemburg_norm_rows(values: np.ndarray, lengths: np.ndarray, phi: OrliczFunction) -> np.ndarray:

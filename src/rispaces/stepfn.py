@@ -375,28 +375,97 @@ def _lp_norm_rows(rows: StepRows, p: float) -> np.ndarray:
 
 def lp_norm_rows(values: np.ndarray, lengths: np.ndarray, p: float) -> np.ndarray:
     """Lp norms of many step functions sharing one partition: `values` has one
-    function per row, `lengths` are the shared interval lengths."""
-    return _lp_of_abs(np.abs(np.asarray(values, dtype=np.float64)), p, lambda x: x @ lengths)
+    function per row, `lengths` are the shared interval lengths. Each row's
+    integral is its `_row_dots`; rows of more than `_BLOCK` cells are read a
+    block of cells at a time, with no temporary of their size."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[1] <= _BLOCK:
+        return _lp_of_abs(np.abs(values), p, lambda x: _row_dots(x, lengths))
+
+    def power_sum(m):  # the integral of (|f|/m)^p, block by block
+        total = 0.0
+        for j in range(0, values.shape[1], _BLOCK):
+            a = _unit_power(np.abs(values[:, j : j + _BLOCK]), m, p)
+            total = _add_block_dots(total, a, lengths[j : j + _BLOCK])
+        return total
+
+    return _lp_of_sup(_sup_rows(values), p, power_sum)
 
 
 def _lp_of_abs(a: np.ndarray, p: float, power_sum) -> np.ndarray:
     """The Lp norm of each row of a >= 0, given power_sum(x), the integral of
-    each row of x (its sum times the cell lengths); a is overwritten.
+    each row of x (its sum times the cell lengths); a is overwritten with
+    (a/m)^p, m as in `_lp_of_sup`."""
+    return _lp_of_sup(a.max(axis=1), p, lambda m: power_sum(_unit_power(a, m, p)))
+
+
+def _lp_of_sup(sup: np.ndarray, p: float, power_sum) -> np.ndarray:
+    """The Lp norm of each row of |f|, given its maximum `sup` and
+    power_sum(m), the integral of each row's (|f|/m)^p.
 
     p = inf takes the row maximum. Otherwise the norm is m S^(1/p), S the
-    integral of (a/m)^p, for m = `_binade`(max(a)), an exact divisor, while
-    S < 2^p is finite (p <= 1023), else m = max(a) (the least double on a zero
-    row). a/m is the same for 2^k a, so ||2^k f|| is 2^k ||f|| bit for bit
+    integral of (|f|/m)^p, for m = `_binade`(sup), an exact divisor, while
+    S < 2^p is finite (p <= 1023), else m = sup (the least double on a zero
+    row). |f|/m is the same for 2^k f, so ||2^k f|| is 2^k ||f|| bit for bit
     wherever no value and no norm leaves the normal range.
     """
     if not p >= 1.0:
         raise StepFunctionError(f"p must be >= 1, got {p}")
     if math.isinf(p):
-        return a.max(axis=1)
-    m = _binade(a.max(axis=1)) if p <= 1023.0 else a.max(axis=1, initial=5e-324)
+        return sup
+    m = _binade(sup) if p <= 1023.0 else np.maximum(sup, 5e-324)
+    return m * power_sum(m) ** (1.0 / p)
+
+
+def _unit_power(a: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
+    """(a/m)^p in place, m one divisor per row of a."""
     a /= m[:, None]
     a **= p
-    return m * power_sum(a) ** (1.0 / p)
+    return a
+
+
+def _sup_rows(values: np.ndarray) -> np.ndarray:
+    """max|v| of each row, without a temporary of the values' size."""
+    return np.maximum(values.max(axis=1), -values.min(axis=1))
+
+
+# A row's dot over more than this many cells is summed a block of that many
+# at a time: OpenBLAS spreads a dot of more than 10,000 cells over its
+# threads, and its bits then depend on how many there are.
+_BLOCK = 1 << 13
+
+
+def _row_dots(x: np.ndarray, lengths: np.ndarray):
+    """The dot of x with lengths, the one definition of a row's dot: for a 1-d
+    x a number; for a 2-d x the dot of each row with the same row of a 2-d
+    `lengths`, or with the 1-d `lengths` that every row shares.
+
+    Rows of at most `_BLOCK` cells take one BLAS call: a dot for a 1-d x, a
+    one-row `x @ l` (a dot) per row for 2-d lengths, where over padding
+    cells a dot would sum in another order, and one gemv `x @ lengths` for
+    shared lengths, whose bits differ from the rows' dots. Longer rows take
+    `_add_block_dots` from 0.
+    """
+    if x.shape[-1] > _BLOCK:
+        return _add_block_dots(0.0, x, lengths)
+    if lengths.ndim == 2:
+        return np.matmul(x[:, None, :], lengths[:, :, None])[:, 0, 0]
+    return x @ lengths
+
+
+def _add_block_dots(total, x: np.ndarray, lengths: np.ndarray):
+    """total plus the BLAS dot of each consecutive `_BLOCK`-cell block of x
+    (of each row of a 2-d x) with lengths, from the first cell, added left to
+    right: a block's dot runs on one thread. Cells taken a whole number of
+    blocks at a time, each call adding to the last one's total, sum as one
+    call on all of them does."""
+    for j in range(0, x.shape[-1], _BLOCK):
+        xb, lb = x[..., j : j + _BLOCK], lengths[..., j : j + _BLOCK]
+        if x.ndim == 1:
+            total = total + np.dot(xb, lb)
+        else:
+            total = total + np.matmul(xb[:, None, :], lb[..., None])[:, 0, 0]
+    return total
 
 
 def _fsum_rows(x: np.ndarray, n: np.ndarray) -> np.ndarray:

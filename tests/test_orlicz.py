@@ -401,10 +401,30 @@ class TestLuxemburgNormRows:
             assert bits(ol.luxemburg_norm_rows(rows.values, rows.lengths, phi)) == bits(want)
 
 
+# rows about the `stepfn._BLOCK` cells in which a longer row's dot is summed
+LONG_KS = (sf._BLOCK - 1, sf._BLOCK, sf._BLOCK + 1, 3 * sf._BLOCK + 7, 1 << 17)
+LONG_PHIS = ("exp2", "power:2", "hinge:1")
+
+
+def _random_step(k: int, rng) -> sf.StepFunction:
+    """k cells of random lengths, with standard normal values."""
+    return sf.StepFunction(np.concatenate(([0.0], np.sort(rng.random(k - 1)), [1.0])),
+                           rng.standard_normal(k))
+
+
+def _block_dot(x: np.ndarray, lengths: np.ndarray) -> float:
+    """A row's dot by its definition: np.dot of each `_BLOCK`-cell block from
+    the first cell, added left to right."""
+    total = 0.0
+    for j in range(0, len(x), sf._BLOCK):
+        total += float(np.dot(x[j : j + sf._BLOCK], lengths[j : j + sf._BLOCK]))
+    return total
+
+
 class TestDriverSelection:
     """`luxemburg_norm_rows` sends a one-row batch to `luxemburg_norm_max`,
-    small or above `_CHUNK`, and two or more rows to one `_Lockstep`: a
-    lock-step of one row took 1.5-2.5x as long per norm."""
+    small, above `_CHUNK` or about `_BLOCK` cells, and two or more rows to
+    one `_Lockstep`: a lock-step of one row took 1.5-2.5x as long per norm."""
 
     @staticmethod
     def _count_drivers(monkeypatch) -> dict:
@@ -424,12 +444,13 @@ class TestDriverSelection:
         monkeypatch.setattr(ol, "_Lockstep", CountedLockstep)
         return calls
 
-    @pytest.mark.parametrize("desc", ["exp2", "power:2"])
-    @pytest.mark.parametrize("ks", [(5,), (ol._CHUNK + 3,), (5, 3), (ol._CHUNK + 3, 7, 5)])
+    @pytest.mark.parametrize("desc", LONG_PHIS)
+    @pytest.mark.parametrize("ks", [(5,), (ol._CHUNK + 3,), (5, 3), (ol._CHUNK + 3, 7, 5),
+                                    *((k,) for k in LONG_KS), (*LONG_KS, 5)])
     def test_driver_by_row_count(self, desc, ks, monkeypatch):
         phi = ol.parse_orlicz(desc)
         rng = np.random.default_rng(len(ks))
-        fs = [sf.StepFunction(np.linspace(0.0, 1.0, k + 1), rng.standard_normal(k)) for k in ks]
+        fs = [_random_step(k, rng) for k in ks]
         want = [ol.luxemburg_norm(f, phi) for f in fs]
         calls = self._count_drivers(monkeypatch)
         rows = sf.StepRows.stack(fs)
@@ -509,12 +530,15 @@ CHUNK_PHIS = {
 
 
 class TestChunking:
-    """Where the rows hold more than `_CHUNK` doubles, `luxemburg_norm_max`
-    evaluates Phi(f/lam) in place in its Phi workspace and recomputes the
-    slope row's f/lam a chunk at a time; the sizes below put rows on both
-    sides of that threshold, and the chunk size moves no bit: division, Phi
-    and its derivative are elementwise, and the modular and slope dots run
-    on whole rows."""
+    """Where rows of at most `_BLOCK` cells hold more than `_CHUNK` doubles,
+    `luxemburg_norm_max` evaluates Phi(f/lam) in place in its Phi workspace
+    and divides the slope row again; longer rows it reads in one pass per
+    search point, a chunk of whole blocks at a time. The sizes below put
+    rows on both sides of both thresholds, and the chunk size moves no bit:
+    division, Phi and its derivative are elementwise, and every modular and
+    slope is a row dot, one BLAS dot up to `_BLOCK` cells and the dots of its
+    blocks added left to right above (`stepfn._row_dots`), whose bits do not
+    depend on the BLAS thread count."""
 
     SIZES = (8, 1000, ol._CHUNK, 1 << 30)
 
@@ -541,14 +565,35 @@ class TestChunking:
         # distinct scales, so that rows are pruned, the largest row not
         # first, and a zero row
         scales = np.array([0.97, 0.3, 1.0, 0.0, 0.5, 0.99])[:n_rows, None]
-        for chunk in self.SIZES[:3]:
-            for k in (1, 3, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
-                values = scales * rng.standard_normal(k)
-                lengths = rng.random(k) + 0.01
-                lengths /= lengths.sum()
-                results = self._under_each_size(monkeypatch, values, lengths, phi)
-                assert len(results) == 1, (chunk, k, results)
-                assert isinstance(next(iter(results)), tuple)
+        about_chunks = [k for chunk in self.SIZES[:3]
+                        for k in (1, 3, chunk - 1, chunk, chunk + 1, 3 * chunk + 7)]
+        for k in about_chunks + list(LONG_KS):
+            values = scales * rng.standard_normal(k)
+            lengths = rng.random(k) + 0.01
+            lengths /= lengths.sum()
+            results = self._under_each_size(monkeypatch, values, lengths, phi)
+            assert len(results) == 1, (k, results)
+            assert isinstance(next(iter(results)), tuple)
+
+    @pytest.mark.parametrize("k", LONG_KS)
+    def test_sums_are_block_dots(self, k):
+        rng = np.random.default_rng(k)
+        f = _random_step(k, rng)
+        for desc in LONG_PHIS:
+            phi = ol.parse_orlicz(desc)
+            for lam in (0.5, 3.0):
+                want = _block_dot(phi(f.values / lam), f.lengths)
+                assert ol.modular(f, phi, lam) == want, (desc, lam)
+        values = np.ldexp(rng.standard_normal((3, k)), [[0], [-20], [30]])
+        for p in (1.0, 2.0, 3.5):
+            m = sf._binade(np.abs(values).max(axis=1))
+            unit = (np.abs(values) / m[:, None]) ** p
+            if k <= sf._BLOCK:  # a table of short rows keeps its one gemv
+                sums = unit @ f.lengths
+            else:
+                sums = np.array([_block_dot(row, f.lengths) for row in unit])
+            want = m * sums ** (1.0 / p)
+            assert bits(sf.lp_norm_rows(values, f.lengths, p)) == bits(want), p
 
     @pytest.mark.parametrize("desc", MAX_PHIS)
     def test_overflow_raises_under_each_size(self, desc, monkeypatch):
@@ -882,6 +927,20 @@ class TestLogTangent:
         assert max(counts) < 30
         for f, norm in zip(fs, norms):
             assert _close(norm, _bisection_norm(f, phi), 1e-12)
+            assert ol.modular(f, phi, norm) <= 1.0
+
+    @pytest.mark.parametrize("desc", LONG_PHIS)
+    def test_long_rows_against_bisection(self, desc):
+        # rows about `_BLOCK` cells, in both drivers: each norm within 1e-12
+        # of plain bisection and the modular <= 1 there
+        phi = ol.parse_orlicz(desc)
+        rng = np.random.default_rng(7)
+        fs = [_random_step(k, rng) for k in LONG_KS]
+        norms = [ol.luxemburg_norm(f, phi) for f in fs]
+        rows = sf.StepRows.stack(fs)
+        assert bits(ol.luxemburg_norm_rows(rows.values, rows.lengths, phi)) == bits(norms)
+        for f, norm in zip(fs, norms):
+            assert _close(norm, _bisection_norm(f, phi), 1e-12), f.k
             assert ol.modular(f, phi, norm) <= 1.0
 
     def test_no_default_search_takes_30_evaluations(self, monkeypatch):

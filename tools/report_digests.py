@@ -8,11 +8,12 @@ registers (`rispaces.experiments.SUITES`), one at a time, with the
 checkout's `src/` first on PYTHONPATH, and prints each suite's exit code and
 the SHA-256 of its JSON report. With one checkout it ends with the JSON
 object that `tests/report_digests.json` holds: the digests and the numpy,
-Python and platform they were recorded with, so that a deliberate move of
-report bytes is recorded from this output. With two checkouts it then names
-the suites whose report bytes or exit codes differ, a suite that only one
-checkout has among them. Exits 0 when every run exited 0 and no suite
-differs, else 1. Standard library only.
+BLAS (whose kernels set the bits of every dot), Python and platform they
+were recorded with, so that a deliberate move of report bytes is recorded
+from this output. With two checkouts it then names the suites whose report
+bytes or exit codes differ, a suite that only one checkout has among them.
+Exits 0 when every run exited 0 and no suite differs, else 1. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ def suites(checkout: Path) -> list[str]:
 
 # what `tests/report_digests.json` records as "recorded_with"
 _ENVIRONMENT = """import json, platform, numpy
-print(json.dumps({"numpy": numpy.__version__, "python": platform.python_version(),
+blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+print(json.dumps({"numpy": numpy.__version__, "blas": f"{blas['name']} {blas['version']}",
+                  "python": platform.python_version(),
                   "platform": " ".join([platform.system(), platform.machine(), *platform.libc_ver()])}))"""
 
 
